@@ -11,6 +11,7 @@ import (
 	"fastlsa/internal/core"
 	"fastlsa/internal/fm"
 	"fastlsa/internal/hirschberg"
+	"fastlsa/internal/obs"
 	"fastlsa/internal/seq"
 )
 
@@ -245,6 +246,44 @@ func TestAutoBudgetFallback(t *testing.T) {
 	}
 	if got.Score != want {
 		t.Fatalf("fallback score %d, kernel score %d", got.Score, want)
+	}
+}
+
+// TestBudgetFallbackLogsReroute: the budget fallback's re-route is logged
+// as route.budget-fallback + route events, not as a second, zero-length
+// backend.route span. The ~78%-identity pair routes to WFA, whose
+// wavefronts outgrow a budget planned FastLSA fits.
+func TestBudgetFallbackLogsReroute(t *testing.T) {
+	a, b := divergencePair(t, 2000, 0.2, 61)
+	var route fastlsa.RouteInfo
+	tr, rec := fastlsa.NewTrace(0), fastlsa.NewRecorder(0)
+	if _, err := fastlsa.Align(a, b, fastlsa.Options{
+		Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4),
+		MemoryBudget: 20_000, Route: &route, Trace: tr, Recorder: rec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if route.Reason != backend.ReasonBudgetFallback {
+		t.Skipf("no budget fallback on this pair (route %+v)", route)
+	}
+	routeSpans := 0
+	for _, s := range tr.Spans() {
+		if s.Name == fastlsa.SpanNameBackendRoute {
+			routeSpans++
+		}
+	}
+	if routeSpans != 1 {
+		t.Errorf("%d backend.route spans, want 1 (the original routing)", routeSpans)
+	}
+	var kinds []string
+	for _, e := range rec.Snapshot().Events {
+		if e.Kind == obs.EvRoute || e.Kind == obs.EvBudgetFallback {
+			kinds = append(kinds, e.Kind+"/"+e.Extra)
+		}
+	}
+	want := []string{obs.EvRoute + "/" + backend.ReasonLowDivergence, obs.EvBudgetFallback + "/", obs.EvRoute + "/" + backend.ReasonBudgetFallback}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Errorf("routing events %v, want %v", kinds, want)
 	}
 }
 

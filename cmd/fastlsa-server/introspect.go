@@ -154,13 +154,9 @@ func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleIncidents serves the incident ring (newest first) plus the retained
-// continuous-capture runtime samples when -prof-interval armed the loop.
+// handleIncidents serves the incident ring, newest first.
 func (s *server) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"incidents": s.incidents.snapshot(),
-		"runtime":   s.sampler.Snapshots(),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"incidents": s.incidents.snapshot()})
 }
 
 // jobEventsView is the GET /v1/jobs/{id}/events reply: the job's flight-
@@ -203,23 +199,23 @@ func (s *server) refreshScrapeMetrics() {
 			s.sloBurn.With(rep.Name, w.Window).Set(w.BurnRate)
 		}
 	}
-	s.profMu.Lock()
-	for k, v := range obs.PhaseTimes() {
-		if prev := s.profSeen[k]; v > prev {
-			s.profCPU.With(k[0], k[1]).Add((v - prev).Seconds())
-			s.profSeen[k] = v
+	s.scrapeMu.Lock()
+	for i, p := range obs.PhaseSeconds() {
+		if d := p.Seconds - s.phaseSeen[i]; d > 0 {
+			s.phaseSecs.With(p.Backend, p.Phase).Add(d)
+			s.phaseSeen[i] = p.Seconds
 		}
 	}
 	s.rtSnap = obs.ReadRuntime()
-	s.profMu.Unlock()
+	s.scrapeMu.Unlock()
 }
 
 // runtimeStat reads one field of the cached runtime snapshot (refreshed by
 // refreshScrapeMetrics just before each scrape).
 func (s *server) runtimeStat(pick func(obs.RuntimeSnapshot) float64) func() float64 {
 	return func() float64 {
-		s.profMu.Lock()
-		defer s.profMu.Unlock()
+		s.scrapeMu.Lock()
+		defer s.scrapeMu.Unlock()
 		return pick(s.rtSnap)
 	}
 }

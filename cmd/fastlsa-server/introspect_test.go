@@ -403,7 +403,7 @@ func TestBreakerBurnSheds(t *testing.T) {
 
 // TestMetricsNewFamilies lints the whole exposition (scrapeMetrics enforces
 // the text format strictly) and pins the families this layer added: SLO burn
-// gauges, CPU attribution, runtime health and build info.
+// gauges, phase seconds, runtime health and build info.
 func TestMetricsNewFamilies(t *testing.T) {
 	srv := httptest.NewServer(newServer(serverConfig{
 		DefaultWorkers: 1,
@@ -439,19 +439,26 @@ func TestMetricsNewFamilies(t *testing.T) {
 		}
 	}
 
-	// CPU attribution: the align above ran labelled phases, so at least one
-	// (backend, phase) series must expose a positive total.
-	prof := series("fastlsa_prof_cpu_seconds_total{")
-	if len(prof) == 0 {
-		t.Error("no fastlsa_prof_cpu_seconds_total series after a labelled align")
+	// Phase seconds: every (backend, phase) series is exported, none
+	// negative, and the align above (table1 routes to FastLSA) put time on
+	// the FastLSA base case. The mislabelled CPU family is gone.
+	phases := series("fastlsa_phase_seconds_total{")
+	if len(phases) != len(obs.PhaseSeconds()) {
+		t.Errorf("fastlsa_phase_seconds_total has %d series, want %d: %v", len(phases), len(obs.PhaseSeconds()), phases)
 	}
-	for _, s := range prof {
+	for _, s := range phases {
 		if !strings.Contains(s, `backend="`) || !strings.Contains(s, `phase="`) {
-			t.Errorf("prof series %s lacks backend/phase labels", s)
+			t.Errorf("phase series %s lacks backend/phase labels", s)
 		}
 		if m[s] < 0 {
-			t.Errorf("prof series %s negative: %v", s, m[s])
+			t.Errorf("phase series %s negative: %v", s, m[s])
 		}
+	}
+	if v := m[`fastlsa_phase_seconds_total{backend="fastlsa",phase="base-case"}`]; v <= 0 {
+		t.Errorf("fastlsa base-case phase seconds = %v after an align, want > 0", v)
+	}
+	if old := series("fastlsa_prof_cpu_seconds_total"); len(old) != 0 {
+		t.Errorf("retired family still exported: %v", old)
 	}
 
 	// Runtime health and process identity.
@@ -478,11 +485,11 @@ func TestMetricsNewFamilies(t *testing.T) {
 		t.Errorf("build info labels missing: %s", info[0])
 	}
 
-	// A second scrape must keep the prof counters monotone.
+	// A second scrape must keep the phase counters monotone.
 	m2 := scrapeMetrics(t, srv.URL)
-	for _, s := range prof {
+	for _, s := range phases {
 		if m2[s] < m[s] {
-			t.Errorf("prof counter %s went backwards: %v -> %v", s, m[s], m2[s])
+			t.Errorf("phase counter %s went backwards: %v -> %v", s, m[s], m2[s])
 		}
 	}
 }

@@ -220,8 +220,7 @@ func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, jobLookupStatus(err), "%v", err)
 		return
 	}
-	result, _, _ := j.Result()
-	v := viewOf(j.Info(), result)
+	v := viewOf(j.View())
 	if r.URL.Query().Get("events") == "1" && j.HasRecorder() {
 		snap := j.Events()
 		v.Events = &snap

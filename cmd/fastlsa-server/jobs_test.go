@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -264,5 +267,74 @@ func TestStatsEndpoint(t *testing.T) {
 		if _, ok := al[key]; !ok {
 			t.Fatalf("alignment stats lack %q: %v", key, al)
 		}
+	}
+}
+
+// TestJobViewNeverTorn polls jobs across their completion, straight through
+// the handler so polls land densely around each one: a GET /v1/jobs/{id}
+// that reports "succeeded" must carry the result, never a view that read
+// the result before completion and the state after it. One engine worker
+// finishes the jobs in submission order and every poller walks the ids in
+// that order, so all pollers hammer the job that is about to complete. Run
+// under -race it also checks the handler's job reads.
+func TestJobViewNeverTorn(t *testing.T) {
+	const jobs, pollers = 300, 3
+	s := newServer(serverConfig{DefaultWorkers: 1, EngineWorkers: 1, QueueDepth: jobs,
+		MaxRetained: jobs, MaxRetainedResults: jobs})
+	defer s.shutdown(context.Background())
+
+	do := func(method, path, body string) map[string]any {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		var out map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Errorf("%s %s: status %d, body %q", method, path, rec.Code, rec.Body.String())
+		}
+		return out
+	}
+	// Each job fills ~100k cells, long enough for the pollers to queue up
+	// on it before it completes.
+	job := slowAlignJob(320)
+	ids := make([]string, jobs)
+	for i := range ids {
+		out := do(http.MethodPost, "/v1/jobs", job)
+		ids[i], _ = out["id"].(string)
+		if ids[i] == "" {
+			t.Fatalf("submit %d: %v", i, out)
+		}
+	}
+
+	var torn, polls atomic.Int64
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(30 * time.Second)
+	for p := 0; p < pollers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range ids {
+				for {
+					if time.Now().After(deadline) {
+						t.Errorf("job %s did not finish in time", id)
+						return
+					}
+					v := do(http.MethodGet, "/v1/jobs/"+id, "")
+					polls.Add(1)
+					if v["state"] == "succeeded" {
+						if v["result"] == nil {
+							torn.Add(1)
+						}
+						break
+					}
+					if v["state"] == "failed" || v["state"] == "cancelled" {
+						t.Errorf("job %s ended %v: %v", id, v["state"], v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Fatalf("%d of %d polls saw a succeeded job without its result", n, polls.Load())
 	}
 }

@@ -56,7 +56,7 @@
 // with an X-Request-ID that is honored when the client sent one, echoed in
 // the response, and attached to the engine job it spawns. /metrics exposes
 // per-route latency histograms, engine queue gauges, service-wide alignment
-// counters, SLO burn-rate gauges, per-(backend, phase) CPU attribution and
+// counters, SLO burn-rate gauges, per-(backend, phase) wall seconds and
 // process runtime gauges. POST /v1/align?trace=1 (or "trace": true in the
 // body) returns a Chrome trace_event JSON profile of the run. Every job
 // carries a bounded flight recorder (GET /v1/jobs/{id}/events); recent 5xx
@@ -65,9 +65,8 @@
 // objectives behind GET /v1/slo; -breaker-burn couples the overload breaker
 // to the error-rate fast burn. -prof-labels (on by default) attaches pprof
 // labels (job_id, backend, phase) to alignment work so CPU profiles
-// attribute samples per solver phase; -prof-interval starts a continuous
-// runtime-capture loop. -debug-addr serves net/http/pprof and expvar on a
-// separate listener, so profiling stays off the public port. See
+// attribute samples per solver phase. -debug-addr serves net/http/pprof and
+// expvar on a separate listener, so profiling stays off the public port. See
 // docs/OBSERVABILITY.md.
 //
 // Example:
@@ -119,11 +118,10 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "listen address for pprof and expvar (empty = disabled)")
 		quiet      = flag.Bool("quiet", false, "disable per-request access logs")
 
-		sloAlignP99  = flag.Duration("slo-align-p99", time.Second, "align-p99 SLO latency threshold (99% of POST /v1/align under this; 0 disables)")
-		sloErrRate   = flag.Float64("slo-error-rate", 0.001, "error-rate SLO: allowed fraction of 5xx responses (0 disables)")
-		brkBurn      = flag.Float64("breaker-burn", 0, "error-rate fast-burn rate that also sheds synchronous requests (0 disables)")
-		profLabels   = flag.Bool("prof-labels", true, "attach pprof labels (job_id, backend, phase) to alignment work")
-		profInterval = flag.Duration("prof-interval", 0, "continuous runtime-capture sampling interval (0 disables)")
+		sloAlignP99 = flag.Duration("slo-align-p99", time.Second, "align-p99 SLO latency threshold (99% of POST /v1/align under this; 0 disables)")
+		sloErrRate  = flag.Float64("slo-error-rate", 0.001, "error-rate SLO: allowed fraction of 5xx responses (0 disables)")
+		brkBurn     = flag.Float64("breaker-burn", 0, "error-rate fast-burn rate that also sheds synchronous requests (0 disables)")
+		profLabels  = flag.Bool("prof-labels", true, "attach pprof labels (job_id, backend, phase) to alignment work")
 
 		dataDir      = flag.String("data-dir", "", "directory for the durable job journal; async jobs survive crashes and restarts (empty = in-memory only)")
 		journalFsync = flag.String("journal-fsync", "interval", "journal fsync policy: always, interval or never")
@@ -201,7 +199,6 @@ func main() {
 		SLOErrorRate:       errSLO,
 		BreakerBurn:        *brkBurn,
 		ProfLabels:         *profLabels,
-		ProfInterval:       *profInterval,
 		DataDir:            *dataDir,
 		JournalFsync:       *journalFsync,
 	})

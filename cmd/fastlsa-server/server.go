@@ -81,10 +81,6 @@ type serverConfig struct {
 	// ProfLabels switches pprof label attribution (job_id/backend/phase) on
 	// for work run through this server (process-wide; see obs.SetProfLabels).
 	ProfLabels bool
-	// ProfInterval, when > 0, starts the continuous runtime-capture loop: one
-	// process snapshot (goroutines, heap, GC, CPU) per interval into a ring
-	// served by GET /v1/debug/incidents alongside the incidents.
-	ProfInterval time.Duration
 	// DataDir, when non-empty, enables the durable job journal: async jobs
 	// (POST /v1/jobs) are recorded in an append-only WAL under this
 	// directory, grid-cache checkpoints are persisted alongside, and on
@@ -166,20 +162,18 @@ type server struct {
 	// /metrics exposure, refreshed at scrape time.
 	slos    *obs.SLOSet
 	sloBurn *obs.GaugeVec
-	// profCPU exports the per-(backend, phase) CPU attribution accumulated by
-	// the pprof label brackets; profSeen holds the last drained totals so the
-	// counter only ever receives positive deltas. rtSnap is the runtime
-	// snapshot behind the fastlsa_go_* families, cached per scrape. All three
-	// are guarded by profMu.
-	profCPU  *obs.CounterVec
-	profMu   sync.Mutex
-	profSeen map[[2]string]time.Duration
-	rtSnap   obs.RuntimeSnapshot
+	// phaseSecs exports obs.PhaseSeconds, the wall time spent inside each
+	// (backend, phase) bracket; phaseSeen holds the last drained totals (in
+	// PhaseSeconds order) so the counter only ever receives positive deltas.
+	// rtSnap is the runtime snapshot behind the fastlsa_go_* families, cached
+	// per scrape. Both are guarded by scrapeMu.
+	phaseSecs *obs.CounterVec
+	scrapeMu  sync.Mutex
+	phaseSeen []float64
+	rtSnap    obs.RuntimeSnapshot
 	// incidents is the server-wide ring of recent 5xx responses and failed
-	// jobs (GET /v1/debug/incidents); sampler is the continuous runtime
-	// capture loop (nil unless -prof-interval is set).
+	// jobs (GET /v1/debug/incidents).
 	incidents *incidentRing
-	sampler   *obs.ProfSampler
 	// Durable-journal state (nil/zero without -data-dir; durability.go).
 	// journal is the append-only WAL; recovering gates /readyz and POST
 	// /v1/jobs while startup replay re-enqueues pre-crash jobs.
@@ -224,7 +218,7 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 		start:       time.Now(),
 		corpus:      cfg.Corpus,
 		limiter:     newRateLimiter(cfg.SearchRate, cfg.SearchBurst),
-		profSeen:    make(map[[2]string]time.Duration),
+		phaseSeen:   make([]float64, len(obs.PhaseSeconds())),
 		incidents:   newIncidentRing(defaultIncidents),
 		durableIDs:  make(map[string]struct{}),
 		journalDone: make(map[string]*journal.JobRecord),
@@ -274,9 +268,6 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 	}
 	if cfg.ProfLabels {
 		obs.SetProfLabels(true)
-	}
-	if cfg.ProfInterval > 0 {
-		s.sampler = obs.StartProfSampler(cfg.ProfInterval, 0)
 	}
 	s.httpm = obs.NewHTTPMetrics(s.reg, "fastlsa")
 	s.batchSizes = s.reg.Histogram("fastlsa_batch_size",
@@ -497,14 +488,19 @@ func (s *server) registerMetrics() {
 			return float64(s.metrics.Cells.Load()) / up
 		})
 
-	// SLO burn rates and CPU attribution: both refreshed by
-	// refreshScrapeMetrics just before each /metrics exposition.
+	// SLO burn rates and phase seconds: both refreshed by
+	// refreshScrapeMetrics just before each /metrics exposition. Every
+	// (backend, phase) series is exported from the start, at zero until a
+	// run enters the phase.
 	s.sloBurn = s.reg.GaugeVec("fastlsa_slo_burn_rate",
 		"Error-budget burn rate per objective and window (1 = burning exactly at the objective's allowance).",
 		"slo", "window")
-	s.profCPU = s.reg.CounterVec("fastlsa_prof_cpu_seconds_total",
-		"Wall-clock seconds attributed to labelled solver phases, by backend and phase (requires pprof labels on).",
+	s.phaseSecs = s.reg.CounterVec("fastlsa_phase_seconds_total",
+		"Wall-clock seconds spent inside solver and search phases, by backend and phase.",
 		"backend", "phase")
+	for _, p := range obs.PhaseSeconds() {
+		s.phaseSecs.With(p.Backend, p.Phase)
+	}
 
 	// Process-level runtime families, read from the snapshot cached per
 	// scrape so one scrape costs one runtime read, not one per family.
@@ -538,13 +534,12 @@ func (s *server) registerMetrics() {
 		"go_version", "revision").With(runtime.Version(), revision).Set(1)
 }
 
-// shutdown flips readiness, stops the runtime sampler, and drains the engine
-// (used by main on SIGINT/SIGTERM). The journal closes only after the engine
-// has shut down — Shutdown flushes the job-event dispatcher first, so every
-// terminal record reaches the WAL before the final sync.
+// shutdown flips readiness and drains the engine (used by main on
+// SIGINT/SIGTERM). The journal closes only after the engine has shut down —
+// Shutdown flushes the job-event dispatcher first, so every terminal record
+// reaches the WAL before the final sync.
 func (s *server) shutdown(ctx context.Context) error {
 	s.beginDrain()
-	s.sampler.Stop()
 	err := s.eng.Shutdown(ctx)
 	if s.journal != nil {
 		if cerr := s.journal.Close(); cerr != nil && err == nil {

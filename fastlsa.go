@@ -489,10 +489,8 @@ func (o Options) backendRequest(planned bool) backend.Request {
 		K:            o.K,
 		BaseCells:    o.BaseCells,
 		Counters:     o.Counters,
-		Trace:        o.Trace,
-		Recorder:     o.Recorder,
+		Obs:          obs.Run{Trace: o.Trace, Recorder: o.Recorder, Prof: o.Context},
 		Checkpoint:   o.Checkpoint,
-		Prof:         o.Context,
 	}
 }
 
@@ -565,12 +563,12 @@ func dispatchAlign(a, b *Sequence, opt Options) (core.Result, RouteInfo, error) 
 	}
 	res, err := run(route)
 	if err != nil && opt.Algorithm == AlgoAuto && route.Backend == backend.NameWFA && errors.Is(err, ErrBudgetExceeded) {
+		// The re-route is a decision, not a timed step: only the events log
+		// it (the backend.route span covers the original routing).
 		opt.Recorder.Add(obs.Event{Kind: obs.EvBudgetFallback, Detail: err.Error()})
 		route = RouteInfo{Backend: backend.NameFastLSA, Reason: backend.ReasonBudgetFallback, Identity: route.Identity}
-		start := opt.Trace.Begin()
-		opt.Trace.End(SpanNameBackendRoute, obs.CatBackend, start, obs.Tags{Backend: route.Backend, Reason: route.Reason})
-		res, err = run(route)
 		opt.Recorder.Add(obs.Event{Kind: obs.EvRoute, Detail: route.Backend, Extra: route.Reason, Value: route.Identity})
+		res, err = run(route)
 	}
 	return res, route, err
 }
@@ -789,9 +787,7 @@ func Search(query *Sequence, db []*Sequence, opt SearchOptions) ([]SearchHit, er
 		Index:      opt.Index,
 		Probe:      opt.Probe,
 		OnHit:      opt.OnHit,
-		Trace:      opt.Trace,
-		Recorder:   opt.Recorder,
-		Prof:       opt.Context,
+		Obs:        obs.Run{Trace: opt.Trace, Recorder: opt.Recorder, Prof: opt.Context},
 	})
 }
 

@@ -10,7 +10,6 @@
 package backend
 
 import (
-	"context"
 	"fmt"
 
 	"fastlsa/internal/align"
@@ -75,20 +74,15 @@ type Request struct {
 	K, BaseCells int
 	// Counters collects instrumentation and carries cancellation.
 	Counters *stats.Counters
-	// Trace records solver spans.
-	Trace *obs.Trace
-	// Recorder, when non-nil, is the job's flight recorder (phase events,
-	// degradation steps). Nil-safe.
-	Recorder *obs.Recorder
+	// Obs is the run's instrumentation handle (spans, flight-recorder
+	// events, pprof labels, phase seconds), handed to the backend unchanged;
+	// backends without phases ignore it.
+	Obs obs.Run
 	// Checkpoint, when non-nil, is the run's grid-cache checkpoint sink
 	// (core.Options.Checkpoint): the FastLSA backend snapshots its root grid
 	// at block-row boundaries and resumes from the sink's blob after a crash.
 	// Backends without a grid cache ignore it.
 	Checkpoint core.CheckpointSink
-	// Prof, when non-nil, is the pprof-labelled base context for CPU
-	// attribution (obs.ProfPhaseBegin); solver phases merge their
-	// {backend, phase} labels into it.
-	Prof context.Context
 }
 
 // Budget materialises the request's memory budget (nil = unlimited).
@@ -178,9 +172,7 @@ func CoreOptions(req Request, m, n int) (core.Options, error) {
 			return core.Options{}, err
 		}
 		copt.Counters = req.Counters
-		copt.Trace = req.Trace
-		copt.Recorder = req.Recorder
-		copt.Prof = req.Prof
+		copt.Obs = req.Obs
 		copt.Checkpoint = req.Checkpoint
 		return copt, nil
 	}
@@ -194,9 +186,7 @@ func CoreOptions(req Request, m, n int) (core.Options, error) {
 		Budget:     b,
 		Workers:    req.Workers,
 		Counters:   req.Counters,
-		Trace:      req.Trace,
-		Recorder:   req.Recorder,
-		Prof:       req.Prof,
+		Obs:        req.Obs,
 		Checkpoint: req.Checkpoint,
 	}, nil
 }

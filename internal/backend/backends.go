@@ -134,8 +134,6 @@ func (wfaBackend) Align(a, b *seq.Sequence, req Request) (fm.Result, error) {
 	return wfa.BiAlign(a, b, req.Matrix, req.Gap, wfa.Options{
 		Budget:   budget,
 		Counters: req.Counters,
-		Trace:    req.Trace,
-		Recorder: req.Recorder,
-		Prof:     req.Prof,
+		Obs:      req.Obs,
 	})
 }

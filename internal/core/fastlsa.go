@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/fm"
@@ -96,41 +95,11 @@ func newSolver(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kerne
 		k:          k,
 		opt:        opt,
 		c:          opt.c,
-		tr:         opt.trace,
+		tr:         opt.obs.Trace,
 		bld:        align.NewBuilder(a.Len() + b.Len()),
 		baseRect:   rt,
 		baseCharge: charge,
 	}, nil
-}
-
-// phaseSpan couples a pprof label bracket with a flight-recorder phase
-// event: beginPhase attaches {backend="fastlsa", phase} labels (when
-// attribution is on) and stamps a start for the recorder (when one is
-// attached); end restores the labels and logs the EvPhase event. A value
-// type, so the fully-disabled path allocates nothing.
-type phaseSpan struct {
-	s     *solver
-	name  string
-	prof  obs.ProfSpan
-	start time.Time
-}
-
-func (s *solver) beginPhase(name string) phaseSpan {
-	p := phaseSpan{s: s, name: name, prof: obs.ProfPhaseBegin(s.opt.prof, "fastlsa", name)}
-	if s.opt.rec != nil {
-		p.start = time.Now()
-	}
-	return p
-}
-
-func (p phaseSpan) end() {
-	p.prof.End()
-	if !p.start.IsZero() {
-		p.s.opt.rec.Add(obs.Event{
-			Kind: obs.EvPhase, Detail: p.name, Extra: obs.CatFastLSA,
-			Duration: time.Since(p.start),
-		})
-	}
 }
 
 func (s *solver) close() {
@@ -264,9 +233,7 @@ func (s *solver) fillGridCache(grid *gridCache, start int) error {
 		return nil // fully restored from a checkpoint
 	}
 	t := grid.t
-	gt := s.tr.Begin()
-	ps := s.beginPhase(obs.SpanGridFill)
-	defer ps.end()
+	ph := s.opt.obs.Phase(obs.CatFastLSA, obs.SpanGridFill)
 	var err error
 	if start == 0 && s.opt.workers > 1 && t.rows()*t.cols() >= s.opt.parMinArea {
 		err = s.fillGridCacheParallel(grid)
@@ -276,7 +243,7 @@ func (s *solver) fillGridCache(grid *gridCache, start int) error {
 	} else {
 		err = s.fillGridCacheSeq(grid, start)
 	}
-	s.tr.End(obs.SpanGridFill, obs.CatFastLSA, gt, obs.Tags{Rows: t.rows(), Cols: t.cols()})
+	ph.End(obs.Tags{Rows: t.rows(), Cols: t.cols()})
 	return err
 }
 
@@ -352,8 +319,6 @@ func (s *solver) baseCase(t rect, top, left kernel.Edge, state int) (exitR, exit
 	}
 	s.c.AddBaseCase()
 	rows, cols := t.rows(), t.cols()
-	bt := s.tr.Begin()
-	defer s.tr.End(obs.SpanBaseCase, obs.CatFastLSA, bt, obs.Tags{Rows: rows, Cols: cols})
 	entries := (rows + 1) * (cols + 1)
 
 	rt := s.baseRect
@@ -369,21 +334,19 @@ func (s *solver) baseCase(t rect, top, left kernel.Edge, state int) (exitR, exit
 	}
 
 	ra, rb := s.a[t.r0:t.r1], s.b[t.c0:t.c1]
-	ps := s.beginPhase(obs.SpanBaseCase)
+	tags := obs.Tags{Rows: rows, Cols: cols}
+	ph := s.opt.obs.Phase(obs.CatFastLSA, obs.SpanBaseCase)
 	if s.opt.workers > 1 && rows*cols >= s.opt.parMinArea {
-		if err := s.fillRectParallel(ra, rb, top, left, rt); err != nil {
-			ps.end()
-			return 0, 0, 0, err
-		}
-	} else if err := s.k.FillRect(ra, rb, top, left, rt); err != nil {
-		ps.end()
+		err = s.fillRectParallel(ra, rb, top, left, rt)
+	} else {
+		err = s.k.FillRect(ra, rb, top, left, rt)
+	}
+	ph.End(tags)
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	ps.end()
-	tt := s.tr.Begin()
-	ts := s.beginPhase(obs.SpanTraceback)
+	ph = s.opt.obs.Phase(obs.CatFastLSA, obs.SpanTraceback)
 	lr, lc, st := s.k.Traceback(ra, rb, rt, s.bld, rows, cols, state)
-	ts.end()
-	s.tr.End(obs.SpanTraceback, obs.CatFastLSA, tt, obs.Tags{Rows: rows, Cols: cols})
+	ph.End(tags)
 	return t.r0 + lr, t.c0 + lc, st, nil
 }

@@ -20,7 +20,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -83,18 +82,13 @@ type Options struct {
 	Pool *memory.RowPool
 	// Counters, when non-nil, accumulates instrumentation.
 	Counters *stats.Counters
-	// Trace, when non-nil, records spans for the run's general/base cases,
-	// grid fills, wavefront tiles (phase-tagged) and tracebacks. Like
-	// Counters it is nil-safe and costs nothing when absent.
-	Trace *obs.Trace
-	// Recorder, when non-nil, is the job's flight recorder: the solver logs
-	// phase completions and degradation-ladder steps (mesh shrinks, the
-	// sequential-fill fallback) into it. Nil-safe like Trace.
-	Recorder *obs.Recorder
-	// Prof, when non-nil, is the pprof-labelled base context threaded from
-	// the engine worker; solver phases layer {backend, phase} labels on top
-	// of it (see obs.ProfPhaseBegin). Ignored while obs.SetProfLabels is off.
-	Prof context.Context
+	// Obs is the run's instrumentation handle. Its Trace records spans for
+	// the general/base cases, grid fills, wavefront tiles (phase-tagged) and
+	// tracebacks; its Recorder receives phase completions and
+	// degradation-ladder steps (mesh shrinks, the sequential-fill fallback);
+	// each grid-fill, base-case and traceback phase is bracketed once
+	// through it (obs.Run.Phase). The zero value records no spans or events.
+	Obs obs.Run
 	// Checkpoint, when non-nil, checkpoints the root grid cache through the
 	// sink at block-row boundaries and seeds it from the sink's snapshot on
 	// resume, so a recovered job skips already-filled strips (see
@@ -117,9 +111,7 @@ type resolved struct {
 	parMinArea int
 	pool       *memory.RowPool
 	c          *stats.Counters
-	trace      *obs.Trace
-	rec        *obs.Recorder
-	prof       context.Context
+	obs        obs.Run
 	ckpt       CheckpointSink
 }
 
@@ -134,9 +126,7 @@ func (o Options) resolve() (resolved, error) {
 		parMinArea: o.ParallelFillCells,
 		pool:       o.Pool,
 		c:          o.Counters,
-		trace:      o.Trace,
-		rec:        o.Recorder,
-		prof:       o.Prof,
+		obs:        o.Obs,
 		ckpt:       o.Checkpoint,
 	}
 	if r.pool == nil {

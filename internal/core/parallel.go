@@ -69,8 +69,8 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 			// Even the minimum mesh does not fit: degrade to the sequential
 			// fill, which needs no transient mesh at all.
 			s.c.AddSeqFillFallback()
-			if s.opt.rec != nil {
-				s.opt.rec.Add(obs.Event{Kind: obs.EvSeqFill,
+			if s.opt.obs.Recorder != nil {
+				s.opt.obs.Recorder.Add(obs.Event{Kind: obs.EvSeqFill,
 					Detail: fmt.Sprintf("%dx%d mesh over budget", k*uReq, k*vReq)})
 			}
 			return s.fillGridCacheSeq(grid, 0)
@@ -78,8 +78,8 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	}
 	if u != uReq || v != vReq {
 		s.c.AddMeshShrink()
-		if s.opt.rec != nil {
-			s.opt.rec.Add(obs.Event{Kind: obs.EvMeshShrink,
+		if s.opt.obs.Recorder != nil {
+			s.opt.obs.Recorder.Add(obs.Event{Kind: obs.EvMeshShrink,
 				Detail: fmt.Sprintf("%dx%d->%dx%d", uReq, vReq, u, v)})
 		}
 	}

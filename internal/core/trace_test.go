@@ -26,7 +26,7 @@ func TestAlignTraceSpans(t *testing.T) {
 		K: 4, BaseCells: 256, Workers: 4,
 		TileRows: 4, TileCols: 4,
 		ParallelFillCells: 1, // force the parallel fill path
-		Trace:             tr,
+		Obs:               obs.Run{Trace: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestAlignSequentialTrace(t *testing.T) {
 
 	tr := obs.NewTrace(0)
 	if _, err := core.Align(a, b, scoring.DNASimple, gap, core.Options{
-		K: 4, BaseCells: 256, Workers: 1, Trace: tr,
+		K: 4, BaseCells: 256, Workers: 1, Obs: obs.Run{Trace: tr},
 	}); err != nil {
 		t.Fatal(err)
 	}

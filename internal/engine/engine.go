@@ -329,6 +329,25 @@ func (j *Job) ID() string { return j.id }
 func (j *Job) Info() Info {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.infoLocked()
+}
+
+// View snapshots the job's public view and, once it is terminal, its result,
+// under one lock: a view that reports Succeeded always carries the result
+// (unless Config.MaxRetainedResults already evicted it). Reading Result and
+// Info separately can tear across completion.
+func (j *Job) View() (Info, any) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var result any
+	if j.state.Terminal() {
+		result = j.result
+	}
+	return j.infoLocked(), result
+}
+
+// infoLocked builds the public view; the caller holds j.mu.
+func (j *Job) infoLocked() Info {
 	info := Info{
 		ID:        j.id,
 		Kind:      j.kind,

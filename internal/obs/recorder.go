@@ -128,7 +128,15 @@ func (r *Recorder) Add(e Event) {
 	if r == nil {
 		return
 	}
-	e.Offset = time.Since(r.epoch)
+	r.addAt(e, time.Now())
+}
+
+// addAt records e as of now (the caller's clock read). Nil-safe.
+func (r *Recorder) addAt(e Event, now time.Time) {
+	if r == nil {
+		return
+	}
+	e.Offset = now.Sub(r.epoch)
 	r.mu.Lock()
 	r.total++
 	switch {

@@ -26,7 +26,8 @@ const (
 	// SpanGeneralCase covers one FastLSA general-case split: the grid fill
 	// plus the recursive walk through the blocks the path crosses.
 	SpanGeneralCase = "general-case"
-	// SpanBaseCase covers one full-matrix base-case solve (fill + traceback).
+	// SpanBaseCase covers the full-matrix fill of one base case; its
+	// traceback is the SpanTraceback that follows.
 	SpanBaseCase = "base-case"
 	// SpanGridFill covers one Fill Cache (sequential block loop or parallel
 	// wavefront, whichever ran).
@@ -195,8 +196,13 @@ func (t *Trace) End(name, cat string, start time.Duration, tags Tags) {
 	if dur < 0 {
 		dur = 0
 	}
+	t.add(Span{Name: name, Cat: cat, Start: start, Dur: dur, Tags: tags})
+}
+
+// add appends one finished span to the ring and the running totals.
+func (t *Trace) add(s Span) {
 	t.mu.Lock()
-	t.buf[t.head] = Span{Name: name, Cat: cat, Start: start, Dur: dur, Tags: tags}
+	t.buf[t.head] = s
 	t.head = (t.head + 1) % len(t.buf)
 	if t.n < len(t.buf) {
 		t.n++
@@ -204,10 +210,10 @@ func (t *Trace) End(name, cat string, start time.Duration, tags Tags) {
 		t.dropped++
 	}
 	t.total++
-	k := totalKey{name: name, phase: tags.Phase}
+	k := totalKey{name: s.Name, phase: s.Tags.Phase}
 	v := t.totals[k]
 	v.count++
-	v.total += dur
+	v.total += s.Dur
 	t.totals[k] = v
 	t.mu.Unlock()
 }

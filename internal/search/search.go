@@ -22,13 +22,11 @@
 package search
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fastlsa/internal/core"
 	"fastlsa/internal/fm"
@@ -76,7 +74,9 @@ type Options struct {
 	// MaxEValue drops hits with a larger E-value (0 = no filter; requires
 	// Stats).
 	MaxEValue float64
-	// Pairwise tunes the FastLSA reconstruction runs.
+	// Pairwise tunes the FastLSA reconstruction runs. Its Obs is replaced
+	// by obs.Nested(): reconstructions run inside the search-reconstruct
+	// phase and open no phases of their own.
 	Pairwise core.Options
 	// Counters, when non-nil, accumulates the scan's DP work and the
 	// search funnel (SearchScanned / SearchCandidates / SearchExamined).
@@ -97,34 +97,10 @@ type Options struct {
 	// an already-reported one out of the final top-K, and alignments and
 	// final ranks are only in the returned slice.
 	OnHit func(Hit)
-	// Trace, when non-nil, records filter/verify/reconstruct phase spans.
-	Trace *obs.Trace
-	// Recorder, when non-nil, receives flight-recorder phase events
-	// mirroring the trace spans. Nil-safe.
-	Recorder *obs.Recorder
-	// Prof, when non-nil, is the pprof-labelled base context the search's
-	// {backend="search", phase} CPU-attribution labels merge into.
-	Prof context.Context
-}
-
-// phaseStart stamps a flight-recorder phase start (zero when no recorder is
-// attached, so the disabled path never reads the clock).
-func (o Options) phaseStart() time.Time {
-	if o.Recorder == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// phaseEvent logs one completed phase span into the search's flight recorder.
-func (o Options) phaseEvent(name string, start time.Time) {
-	if start.IsZero() {
-		return
-	}
-	o.Recorder.Add(obs.Event{
-		Kind: obs.EvPhase, Detail: name, Extra: obs.CatSearch,
-		Duration: time.Since(start),
-	})
+	// Obs is the search's instrumentation handle: the filter, verify and
+	// reconstruct phases are each bracketed once through it
+	// (obs.Run.Phase). The zero value records no spans or events.
+	Obs obs.Run
 }
 
 // topKFloor tracks the k-th best eligible score seen so far (a min-heap of
@@ -237,13 +213,9 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 		if got := opt.Index.Entries(); got != len(db) {
 			return nil, fmt.Errorf("search: index covers %d entries, database has %d (build the index over the same database)", got, len(db))
 		}
-		start := opt.Trace.Begin()
-		fp := obs.ProfPhaseBegin(opt.Prof, "search", obs.SpanSearchFilter)
-		f0 := opt.phaseStart()
+		ph := opt.Obs.Phase(obs.CatSearch, obs.SpanSearchFilter)
 		list, probe, err := opt.Index.Candidates(query, opt.Matrix, gap, opt.MinScore)
-		fp.End()
-		opt.phaseEvent(obs.SpanSearchFilter, f0)
-		opt.Trace.End(obs.SpanSearchFilter, obs.CatSearch, start, obs.Tags{Rows: probe.Scanned, Cols: probe.Candidates})
+		ph.End(obs.Tags{Rows: probe.Scanned, Cols: probe.Candidates})
 		if err != nil {
 			return nil, err
 		}
@@ -296,9 +268,7 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 		}
 		errMu.Unlock()
 	}
-	vStart := opt.Trace.Begin()
-	vp := obs.ProfPhaseBegin(opt.Prof, "search", obs.SpanSearchVerify)
-	v0 := opt.phaseStart()
+	ph := opt.Obs.Phase(obs.CatSearch, obs.SpanSearchVerify)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -353,9 +323,7 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 		}()
 	}
 	wg.Wait()
-	vp.End()
-	opt.phaseEvent(obs.SpanSearchVerify, v0)
-	opt.Trace.End(obs.SpanSearchVerify, obs.CatSearch, vStart, obs.Tags{Rows: len(cands), Cols: int(examined.Load())})
+	ph.End(obs.Tags{Rows: len(cands), Cols: int(examined.Load())})
 	opt.Counters.AddSearchExamined(examined.Load())
 	if scanErr != nil {
 		return nil, scanErr
@@ -406,10 +374,9 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 		// run's cancellation signal.
 		popt.Counters = opt.Counters
 	}
-	rStart := opt.Trace.Begin()
-	rp := obs.ProfPhaseBegin(opt.Prof, "search", obs.SpanSearchReconstruct)
-	defer rp.End()
-	r0 := opt.phaseStart()
+	popt.Obs = obs.Nested()
+	ph = opt.Obs.Phase(obs.CatSearch, obs.SpanSearchReconstruct)
+	defer ph.End(obs.Tags{Rows: nAlign})
 	for i := 0; i < nAlign; i++ {
 		if err := opt.Counters.Cancelled(); err != nil {
 			return nil, err
@@ -425,7 +392,5 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 		locCopy := loc
 		hits[i].Alignment = &locCopy
 	}
-	opt.phaseEvent(obs.SpanSearchReconstruct, r0)
-	opt.Trace.End(obs.SpanSearchReconstruct, obs.CatSearch, rStart, obs.Tags{Rows: nAlign})
 	return hits, nil
 }

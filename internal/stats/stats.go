@@ -1,18 +1,15 @@
 // Package stats provides the per-run instrumentation and run control shared
-// by every algorithm in the repository: DP-cell counters, wall-clock phase
-// timers, derived quantities such as the recomputation factor that Theorems
-// 1-4 of the paper bound analytically, and a cheap cancellation poll that the
-// fill kernels consult between row sweeps so an abandoned run stops
-// computing. All counters are safe for concurrent use and all methods are
+// by every algorithm in the repository: DP-cell counters, derived quantities
+// such as the recomputation factor that Theorems 1-4 of the paper bound
+// analytically, and a cheap cancellation poll that the fill kernels consult
+// between row sweeps so an abandoned run stops computing. All counters are safe for concurrent use and all methods are
 // nil-receiver safe, so uninstrumented runs pay (almost) nothing.
 package stats
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counters accumulates the work performed by one alignment run.
@@ -347,76 +344,4 @@ func (s Snapshot) String() string {
 		s.PlannedFillTiles, s.ExecutedFillTiles, s.PeakGridEntries,
 		s.MeshShrinks, s.SeqFillFallbacks,
 		s.SearchScanned, s.SearchCandidates, s.SearchExamined)
-}
-
-// Timer measures named phases of a run.
-type Timer struct {
-	mu     sync.Mutex
-	phases map[string]time.Duration
-	starts map[string]time.Time
-}
-
-// NewTimer returns an empty phase timer.
-func NewTimer() *Timer {
-	return &Timer{
-		phases: make(map[string]time.Duration),
-		starts: make(map[string]time.Time),
-	}
-}
-
-// Start begins (or resumes) the named phase. Starting a phase that is
-// already running is a no-op: the original start time stands, so the
-// interval since it is not silently dropped by a redundant Start.
-func (t *Timer) Start(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if _, running := t.starts[name]; !running {
-		t.starts[name] = time.Now()
-	}
-	t.mu.Unlock()
-}
-
-// Stop ends the named phase and accumulates its duration.
-func (t *Timer) Stop(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if s, ok := t.starts[name]; ok {
-		t.phases[name] += time.Since(s)
-		delete(t.starts, name)
-	}
-	t.mu.Unlock()
-}
-
-// Elapsed reports the accumulated duration of the named phase.
-func (t *Timer) Elapsed(name string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	d := t.phases[name]
-	t.mu.Unlock()
-	return d
-}
-
-// Snapshot returns every phase's accumulated duration, with still-running
-// phases charged up to now. The map is a copy, safe to retain or serialise.
-func (t *Timer) Snapshot() map[string]time.Duration {
-	if t == nil {
-		return nil
-	}
-	now := time.Now()
-	t.mu.Lock()
-	out := make(map[string]time.Duration, len(t.phases)+len(t.starts))
-	for name, d := range t.phases {
-		out[name] = d
-	}
-	for name, s := range t.starts {
-		out[name] += now.Sub(s)
-	}
-	t.mu.Unlock()
-	return out
 }

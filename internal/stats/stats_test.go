@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fastlsa/internal/stats"
 )
@@ -23,12 +22,6 @@ func TestNilReceiverSafety(t *testing.T) {
 	}
 	if c.Snapshot() != (stats.Snapshot{}) {
 		t.Fatal("nil snapshot must be zero")
-	}
-	var tm *stats.Timer
-	tm.Start("x")
-	tm.Stop("x")
-	if tm.Elapsed("x") != 0 {
-		t.Fatal("nil timer must be inert")
 	}
 }
 
@@ -90,78 +83,5 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 	if c.PeakGridEntries.Load() != 999 {
 		t.Fatalf("peak = %d", c.PeakGridEntries.Load())
-	}
-}
-
-func TestTimer(t *testing.T) {
-	tm := stats.NewTimer()
-	tm.Start("fill")
-	time.Sleep(5 * time.Millisecond)
-	tm.Stop("fill")
-	if tm.Elapsed("fill") < 2*time.Millisecond {
-		t.Fatalf("elapsed = %v", tm.Elapsed("fill"))
-	}
-	// Stop without start is a no-op.
-	tm.Stop("ghost")
-	if tm.Elapsed("ghost") != 0 {
-		t.Fatal("ghost phase must be zero")
-	}
-	// Accumulation across start/stop pairs.
-	before := tm.Elapsed("fill")
-	tm.Start("fill")
-	time.Sleep(2 * time.Millisecond)
-	tm.Stop("fill")
-	if tm.Elapsed("fill") <= before {
-		t.Fatal("timer must accumulate")
-	}
-}
-
-// TestTimerDoubleStart pins the fix for the double-start bug: a redundant
-// Start on a running phase must not reset the start time and drop the
-// elapsed interval.
-func TestTimerDoubleStart(t *testing.T) {
-	tm := stats.NewTimer()
-	tm.Start("fill")
-	time.Sleep(5 * time.Millisecond)
-	tm.Start("fill") // must be a no-op, not a reset
-	tm.Stop("fill")
-	if got := tm.Elapsed("fill"); got < 4*time.Millisecond {
-		t.Fatalf("double Start dropped elapsed time: %v", got)
-	}
-}
-
-func TestTimerSnapshot(t *testing.T) {
-	tm := stats.NewTimer()
-	tm.Start("fill")
-	time.Sleep(3 * time.Millisecond)
-	tm.Stop("fill")
-	tm.Start("traceback")
-	time.Sleep(3 * time.Millisecond)
-
-	snap := tm.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d phases, want 2: %v", len(snap), snap)
-	}
-	if snap["fill"] < 2*time.Millisecond {
-		t.Errorf("fill = %v, want >= 2ms", snap["fill"])
-	}
-	// A still-running phase is charged up to the snapshot moment.
-	if snap["traceback"] < 2*time.Millisecond {
-		t.Errorf("running traceback = %v, want >= 2ms", snap["traceback"])
-	}
-	// The snapshot is a copy: mutating it must not affect the timer.
-	snap["fill"] = 0
-	if tm.Elapsed("fill") < 2*time.Millisecond {
-		t.Error("snapshot aliases the timer's map")
-	}
-	// Stopping the running phase keeps accumulating past the snapshot.
-	tm.Stop("traceback")
-	if tm.Elapsed("traceback") < snap["traceback"] {
-		t.Errorf("post-stop traceback %v < snapshot %v", tm.Elapsed("traceback"), snap["traceback"])
-	}
-
-	var nilTimer *stats.Timer
-	if nilTimer.Snapshot() != nil {
-		t.Error("nil timer snapshot must be nil")
 	}
 }

@@ -498,11 +498,9 @@ func (r *biRunner) solve(a, ar, b, br []byte, S int) error {
 		return nil
 	}
 	if S <= biCutoff(r.pen) {
-		// Trace and Recorder are deliberately not threaded: the many base-case
-		// sub-alignments would swamp both; the whole BiAlign run is one span /
-		// phase event at the top. Prof is threaded so the sub-runs' labels nest
-		// under (and restore to) the wfa-biwfa labels.
-		path, cost, err := alignFull(a, b, r.pen, Options{Budget: r.opt.Budget, Counters: r.opt.Counters, Prof: r.opt.Prof})
+		// The sub-run opens no phases of its own: the whole BiAlign run is one
+		// wfa-biwfa phase, whose labels the sub-run inherits.
+		path, cost, err := alignFull(a, b, r.pen, Options{Budget: r.opt.Budget, Counters: r.opt.Counters, Obs: obs.Nested()})
 		if err != nil {
 			return err
 		}
@@ -575,27 +573,21 @@ func BiAlign(a, b *seq.Sequence, mat *scoring.Matrix, gap scoring.Gap, opt Optio
 		return fm.Result{Score: int64(gap.Cost(m + n)), Path: gapPath(m, n)}, nil
 	}
 
-	start := opt.Trace.Begin()
-	ps := obs.ProfPhaseBegin(opt.Prof, "wfa", obs.SpanWFABi)
-	defer ps.End()
-	t0 := phaseStart(opt)
+	ph := opt.Obs.Phase(obs.CatWFA, obs.SpanWFABi)
+	defer ph.End(obs.Tags{Rows: m, Cols: n})
 	S, err := biScore(ra, rb, pen, opt)
 	if err != nil {
 		return fm.Result{}, err
 	}
 	// The reversed copies are O(m+n) input scratch, uncharged like the
 	// linear-space kernels' row buffers; subproblems slice them.
-	inner := opt
-	inner.Prof = ps.Context(opt.Prof)
 	r := &biRunner{
-		pen: pen, mat: mat, gap: gap, alphabet: a.Alphabet, opt: inner,
+		pen: pen, mat: mat, gap: gap, alphabet: a.Alphabet, opt: opt,
 		moves: make([]align.Move, 0, m+n),
 	}
 	if err := r.solve(ra, reversed(ra), rb, reversed(rb), S); err != nil {
 		return fm.Result{}, err
 	}
-	phaseEvent(opt, obs.SpanWFABi, t0)
-	opt.Trace.End(obs.SpanWFABi, obs.CatWFA, start, obs.Tags{Rows: m, Cols: n})
 	score, err := pen.Score(m, n, int64(S))
 	if err != nil {
 		return fm.Result{}, err

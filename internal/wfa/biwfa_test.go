@@ -256,15 +256,18 @@ func TestBiAlignTraceSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace(0)
-	if _, err := wfa.BiAlign(a, b, scoring.DNASimple, scoring.Linear(-4), wfa.Options{Trace: tr}); err != nil {
+	if _, err := wfa.BiAlign(a, b, scoring.DNASimple, scoring.Linear(-4), wfa.Options{Obs: obs.Run{Trace: tr}}); err != nil {
 		t.Fatal(err)
 	}
+	// The whole run is one wfa-biwfa phase: its base-case sub-runs open no
+	// wfa-fill/traceback phases of their own.
+	names := map[string]int{}
 	for _, s := range tr.Spans() {
-		if s.Name == obs.SpanWFABi {
-			return
-		}
+		names[s.Name]++
 	}
-	t.Fatalf("no %s span recorded", obs.SpanWFABi)
+	if names[obs.SpanWFABi] != 1 || len(names) != 1 {
+		t.Fatalf("spans = %v, want exactly one %s", names, obs.SpanWFABi)
+	}
 }
 
 // countingCtx is a stub context whose Done channel reads as closed while

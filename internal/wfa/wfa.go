@@ -27,12 +27,10 @@
 package wfa
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/fm"
@@ -128,14 +126,10 @@ type Options struct {
 	Budget *memory.Budget
 	// Counters receives cell counts and serves cancellation polls.
 	Counters *stats.Counters
-	// Trace records wfa-fill and traceback spans.
-	Trace *obs.Trace
-	// Recorder, when non-nil, receives flight-recorder phase events
-	// mirroring the trace spans. Nil-safe.
-	Recorder *obs.Recorder
-	// Prof, when non-nil, is the pprof-labelled base context the run's
-	// {backend="wfa", phase} CPU-attribution labels merge into.
-	Prof context.Context
+	// Obs is the run's instrumentation handle: Align brackets its wfa-fill
+	// and traceback phases through it, BiAlign its single wfa-biwfa phase
+	// (obs.Run.Phase). The zero value records no spans or events.
+	Obs obs.Run
 }
 
 // Backtrace ops, stored in the low 3 bits of a packed cell. The remaining
@@ -290,59 +284,34 @@ func alignFull(ra, rb []byte, pen Penalties, opt Options) (align.Path, int, erro
 		return align.Path{}, 0, err
 	}
 
-	fillStart := opt.Trace.Begin()
-	fillProf := obs.ProfPhaseBegin(opt.Prof, "wfa", obs.SpanWFAFill)
-	fillT0 := phaseStart(opt)
+	tags := obs.Tags{Rows: m, Cols: n}
+	ph := opt.Obs.Phase(obs.CatWFA, obs.SpanWFAFill)
 	kFin := n - m
 	cost := -1
 	for sc := 0; sc <= bound; sc++ {
-		if err := s.compute(sc); err != nil {
-			fillProf.End()
-			return align.Path{}, 0, err
+		if err = s.compute(sc); err != nil {
+			break
 		}
 		if off, _, ok := s.mw[sc].get(kFin); ok && off >= n {
 			cost = sc
 			break
 		}
 	}
-	fillProf.End()
-	phaseEvent(opt, obs.SpanWFAFill, fillT0)
-	opt.Trace.End(obs.SpanWFAFill, obs.CatWFA, fillStart, obs.Tags{Rows: m, Cols: n})
+	ph.End(tags)
+	if err != nil {
+		return align.Path{}, 0, err
+	}
 	if cost < 0 {
 		return align.Path{}, 0, fmt.Errorf("wfa: internal error: no alignment within penalty bound %d", bound)
 	}
 
-	tbStart := opt.Trace.Begin()
-	tbProf := obs.ProfPhaseBegin(opt.Prof, "wfa", obs.SpanTraceback)
-	tbT0 := phaseStart(opt)
+	ph = opt.Obs.Phase(obs.CatWFA, obs.SpanTraceback)
 	path, err := s.backtrace(cost)
-	tbProf.End()
+	ph.End(tags)
 	if err != nil {
 		return align.Path{}, 0, err
 	}
-	phaseEvent(opt, obs.SpanTraceback, tbT0)
-	opt.Trace.End(obs.SpanTraceback, obs.CatWFA, tbStart, obs.Tags{Rows: m, Cols: n})
 	return path, cost, nil
-}
-
-// phaseStart stamps a flight-recorder phase start (zero when no recorder is
-// attached, so the disabled path never reads the clock).
-func phaseStart(opt Options) time.Time {
-	if opt.Recorder == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// phaseEvent logs one completed phase span into the run's flight recorder.
-func phaseEvent(opt Options, name string, start time.Time) {
-	if start.IsZero() {
-		return
-	}
-	opt.Recorder.Add(obs.Event{
-		Kind: obs.EvPhase, Detail: name, Extra: obs.CatWFA,
-		Duration: time.Since(start),
-	})
 }
 
 // valid reports whether offset h on diagonal k is inside the DP matrix

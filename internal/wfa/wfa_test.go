@@ -241,7 +241,7 @@ func TestAlignTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace(0)
-	if _, err := wfa.Align(a, b, scoring.DNASimple, scoring.Linear(-4), wfa.Options{Trace: tr}); err != nil {
+	if _, err := wfa.Align(a, b, scoring.DNASimple, scoring.Linear(-4), wfa.Options{Obs: obs.Run{Trace: tr}}); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}

@@ -3,6 +3,7 @@ package fastlsa_test
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"runtime/pprof"
 	"testing"
@@ -77,4 +78,81 @@ func TestCPUProfileCarriesBackendPhaseLabels(t *testing.T) {
 			t.Errorf("profile string table lacks %q: labelled samples missing", want)
 		}
 	}
+}
+
+// TestPhaseSecondsWithinWallTime: every phase is bracketed once and no phase
+// opens inside another, so the phase seconds one run adds to the
+// process-wide table never exceed that run's wall time. It covers FastLSA
+// (grid fills, base cases and tracebacks, with a parallel fill), BiWFA
+// (whose base-case sub-runs open no wfa-fill/traceback phases inside
+// wfa-biwfa) and an indexed search (whose FastLSA reconstructions open no
+// phases inside search-reconstruct), with labels off and on.
+func TestPhaseSecondsWithinWallTime(t *testing.T) {
+	a, b := divergencePair(t, 3000, 0.02, 5)
+	query := fastlsa.RandomSequence("query", 800, fastlsa.DNA, 11)
+	db := make([]*fastlsa.Sequence, 0, 40)
+	for i := 0; i < 4; i++ {
+		hom, err := fastlsa.DefaultHomology.Mutate(fmt.Sprintf("hom%d", i), query, int64(20+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db = append(db, hom)
+	}
+	for i := len(db); i < cap(db); i++ {
+		db = append(db, fastlsa.RandomSequence(fmt.Sprintf("bg%d", i), 800, fastlsa.DNA, int64(100+i)))
+	}
+	ix, err := fastlsa.BuildIndex(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"fastlsa", func() error {
+			_, err := fastlsa.Align(a, b, fastlsa.Options{Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4),
+				Algorithm: fastlsa.AlgoFastLSA, Workers: 2, BaseCells: 4096})
+			return err
+		}},
+		{"biwfa", func() error {
+			_, err := fastlsa.Align(a, b, fastlsa.Options{Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4),
+				Algorithm: fastlsa.AlgoWFA})
+			return err
+		}},
+		{"indexed-search", func() error {
+			hits, err := fastlsa.Search(query, db, fastlsa.SearchOptions{Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4),
+				TopK: 4, MinScore: 200, Workers: 2, Index: ix})
+			if err == nil && len(hits) == 0 {
+				err = fmt.Errorf("no hits: reconstruct phase not exercised")
+			}
+			return err
+		}},
+	}
+	total := func() float64 {
+		sum := 0.0
+		for _, p := range obs.PhaseSeconds() {
+			sum += p.Seconds
+		}
+		return sum
+	}
+	for _, labels := range []bool{false, true} {
+		obs.SetProfLabels(labels)
+		for _, r := range runs {
+			before := total()
+			start := time.Now()
+			if err := r.run(); err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			wall := time.Since(start).Seconds()
+			phases := total() - before
+			if phases <= 0 {
+				t.Errorf("%s (labels %v): no phase seconds recorded", r.name, labels)
+			}
+			if phases > wall {
+				t.Errorf("%s (labels %v): phase seconds %.6f exceed wall time %.6f", r.name, labels, phases, wall)
+			}
+		}
+	}
+	obs.SetProfLabels(false)
 }
