@@ -58,12 +58,18 @@ func pollAttempts(t *testing.T, url string, n int, deadline time.Duration) {
 
 // degradedAlignBody builds an align request whose parallel fill cannot hold
 // its tile mesh inside the memory budget, so the run must take at least one
-// degradation-ladder step (mesh shrink or sequential-fill fallback).
+// degradation-ladder step (mesh shrink or sequential-fill fallback). The
+// mesh lines on block boundaries are the grid cache's own, so only a u x v
+// > 1 x 1 subdivision costs memory: 8 workers ask for u = v = 2 at the
+// default k = 8. The algorithm is explicit because an auto-routed FastLSA
+// run is planned against the budget and never needs to degrade; the
+// 100,000-entry budget holds the default base buffer and grid caches but
+// not the 2 x 2 mesh.
 func degradedAlignBody(t *testing.T) string {
 	t.Helper()
 	a, b := testutil.HomologousPair(1500, seq.DNA, 21)
 	return fmt.Sprintf(
-		`{"a": %q, "b": %q, "matrix": "dna", "gap": {"extend": -4}, "workers": 4, "memoryBudget": 15000}`,
+		`{"a": %q, "b": %q, "matrix": "dna", "gap": {"extend": -4}, "algorithm": "fastlsa", "workers": 8, "memoryBudget": 100000}`,
 		a.String(), b.String())
 }
 

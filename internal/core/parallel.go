@@ -8,11 +8,26 @@ import (
 	"fastlsa/internal/wavefront"
 )
 
-// meshEntriesFor is the transient-mesh footprint of an R x C tile grid over
-// a rows x cols subproblem: R-1 interior row lines of cols+1 entries and C-1
-// interior column lines of rows+1 entries, times the model's edge lanes.
-func meshEntriesFor(lanes int64, R, C, rows, cols int) int64 {
-	return lanes * (int64(R-1)*int64(cols+1) + int64(C-1)*int64(rows+1))
+// meshEntriesFor is the transient-mesh footprint of an R x C tile grid
+// refining a k x k block grid over a rows x cols subproblem: the R-k row
+// lines of cols+1 entries and C-k column lines of rows+1 entries that do not
+// lie on a block boundary (those are the grid cache's own lines), times the
+// model's edge lanes. The minimum mesh (R = C = k) costs nothing.
+func meshEntriesFor(lanes int64, k, R, C, rows, cols int) int64 {
+	return lanes * (int64(R-k)*int64(cols+1) + int64(C-k)*int64(rows+1))
+}
+
+// fitMesh shrinks a u x v block subdivision toward 1 x 1, the larger side
+// first, until its mesh fits in avail entries.
+func fitMesh(lanes int64, k, u, v, rows, cols int, avail int64) (int, int) {
+	for meshEntriesFor(lanes, k, k*u, k*v, rows, cols) > avail && (u > 1 || v > 1) {
+		if u >= v && u > 1 {
+			u--
+		} else {
+			v--
+		}
+	}
+	return u, v
 }
 
 // fillGridCacheParallel is the Parallel Fill Cache of §5 (Figure 13): the
@@ -20,18 +35,20 @@ func meshEntriesFor(lanes int64, R, C, rows, cols int) int64 {
 // aligned with (a refinement of) the grid lines. Tiles are executed by P
 // workers in diagonal-wavefront order; the u x v tiles of the bottom-right
 // block are skipped. Inter-tile boundary values travel through a transient
-// "mesh" of R row lines and C column lines — one lane linear, two affine —
-// charged to the budget and released once the aligned lines have been copied
-// into the grid cache.
+// "mesh" of R row lines and C column lines — one lane linear, two affine.
+// Mesh lines on block boundaries are the grid cache's own lines, which the
+// tiles write in place; only the lines inside blocks are allocated, charged
+// to the budget and released after the fill.
 //
-// The mesh is the only memory a parallel fill needs beyond what the
-// sequential fill uses, so a tight budget degrades the fill rather than
-// failing it ("FastLSA adapts to the amount of space available", §3): the
-// requested u x v subdivision is shrunk toward 1 x 1 until the mesh fits
-// what the budget has left, and if even the k-aligned minimum mesh
-// (R = C = k) cannot be reserved the fill falls back to the sequential
-// block loop. Every such decision is recorded on the run's counters
-// (MeshShrinks, SeqFillFallbacks, PlannedFillTiles vs ExecutedFillTiles).
+// Those interior lines are the only memory a parallel fill needs beyond
+// what the sequential fill uses, so a tight budget degrades the fill rather
+// than failing it ("FastLSA adapts to the amount of space available", §3):
+// the requested u x v subdivision is shrunk toward 1 x 1 until the mesh fits
+// what the budget has left. The 1 x 1 mesh (R = C = k) needs no interior
+// line; should even its empty reservation fail, the fill falls back to the
+// sequential block loop. Every such decision is recorded on the run's
+// counters (MeshShrinks, SeqFillFallbacks, PlannedFillTiles vs
+// ExecutedFillTiles).
 func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	t, k := grid.t, grid.k
 	rows, cols := t.rows(), t.cols()
@@ -53,21 +70,14 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	u, v := uReq, vReq
 	var meshEntries int64
 	for {
-		avail := s.opt.budget.Available()
-		for meshEntriesFor(lanes, k*u, k*v, rows, cols) > avail && (u > 1 || v > 1) {
-			if u >= v && u > 1 {
-				u--
-			} else {
-				v--
-			}
-		}
-		meshEntries = meshEntriesFor(lanes, k*u, k*v, rows, cols)
+		u, v = fitMesh(lanes, k, u, v, rows, cols, s.opt.budget.Available())
+		meshEntries = meshEntriesFor(lanes, k, k*u, k*v, rows, cols)
 		if s.opt.budget.TryReserve(meshEntries) {
 			break
 		}
 		if u == 1 && v == 1 {
-			// Even the minimum mesh does not fit: degrade to the sequential
-			// fill, which needs no transient mesh at all.
+			// Even the empty minimum mesh was refused (the reserve fault
+			// site): degrade to the sequential fill, which reserves nothing.
 			s.c.AddSeqFillFallback()
 			if s.opt.obs.Recorder != nil {
 				s.opt.obs.Recorder.Add(obs.Event{Kind: obs.EvSeqFill,
@@ -91,19 +101,22 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	tcs := refineBoundaries(grid.cs, v)
 
 	// Mesh lines: meshRows[i] spans node row trs[i] (full width); meshCols[j]
-	// spans node column tcs[j] (full height). Row/column 0 alias the grid's
-	// copies of the input caches; lines at indices >= R (resp. C) are never
-	// produced or consumed.
+	// spans node column tcs[j] (full height). Lines i = i'*u and j = j'*v are
+	// grid lines i' and j' (line 0 holds the input cache); the rest are
+	// allocated here. Lines at indices >= R (resp. C) are never produced or
+	// consumed.
 	defer s.opt.budget.Release(meshEntries)
 	s.c.ObserveGridEntries(s.opt.budget.Used())
 
 	meshRows := make([]kernel.Edge, R)
 	meshCols := make([]kernel.Edge, C)
-	meshRows[0] = grid.rows[0]
-	meshCols[0] = grid.cols[0]
-	rowBack := make([]int64, int(lanes)*(R-1)*(cols+1))
-	colBack := make([]int64, int(lanes)*(C-1)*(rows+1))
-	for i := 1; i < R; i++ {
+	rowBack := make([]int64, int(lanes)*(R-k)*(cols+1))
+	colBack := make([]int64, int(lanes)*(C-k)*(rows+1))
+	for i := 0; i < R; i++ {
+		if i%u == 0 {
+			meshRows[i] = grid.rows[i/u]
+			continue
+		}
 		meshRows[i].H, rowBack = rowBack[:cols+1:cols+1], rowBack[cols+1:]
 		meshRows[i].H[0] = grid.cols[0].H[trs[i]-t.r0]
 		if affine {
@@ -111,7 +124,11 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 			meshRows[i].G[0] = kernel.NegInf
 		}
 	}
-	for j := 1; j < C; j++ {
+	for j := 0; j < C; j++ {
+		if j%v == 0 {
+			meshCols[j] = grid.cols[j/v]
+			continue
+		}
 		meshCols[j].H, colBack = colBack[:rows+1:rows+1], colBack[rows+1:]
 		meshCols[j].H[0] = grid.rows[0].H[tcs[j]-t.c0]
 		if affine {
@@ -138,24 +155,7 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 				w, ph.PhaseOfDiagonal(ti+tj, nd))
 		},
 	}
-	if err := wf.Run(); err != nil {
-		return err
-	}
-
-	// Copy the block-aligned mesh lines into the persistent grid cache.
-	for i := 1; i < k; i++ {
-		copy(grid.rows[i].H, meshRows[i*u].H)
-		if affine {
-			copy(grid.rows[i].G, meshRows[i*u].G)
-		}
-	}
-	for j := 1; j < k; j++ {
-		copy(grid.cols[j].H, meshCols[j*v].H)
-		if affine {
-			copy(grid.cols[j].G, meshCols[j*v].G)
-		}
-	}
-	return nil
+	return wf.Run()
 }
 
 // fillTile computes one wavefront tile: rows trs[ti]..trs[ti+1], columns

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"slices"
 	"testing"
 
 	"fastlsa/internal/kernel"
@@ -10,41 +11,78 @@ import (
 	"fastlsa/internal/testutil"
 )
 
-// BenchmarkForwardAffine measures the three-plane sweep in cells/second —
-// the inner loop of every affine aligner in the repository.
-func BenchmarkForwardAffine(b *testing.B) {
-	const n = 1024
-	x, y := testutil.RandomPair(n, n, seq.Protein, 8)
-	pool := memory.NewRowPool()
-	k := kernel.New(scoring.BLOSUM62, kernel.Affine(-11, -1), pool, nil)
-	top := k.LeadEdge(n, 0)
-	left := k.LeadEdge(n, 0)
-	out := k.NewEdge(n)
-	b.SetBytes(n * n)
+// proteinDivergence20 mutates protein pairs the way the served
+// align-parallel-protein traffic does: 20% substitutions, 2% insertions and
+// 2% deletions in runs of up to 4.
+var proteinDivergence20 = seq.MutationModel{
+	SubstitutionRate: 0.2,
+	InsertionRate:    0.02,
+	DeletionRate:     0.02,
+	MaxIndelRun:      4,
+	IndelExtend:      0.5,
+}
+
+// benchSweep times one sweep direction over x vs y with end-gap edges,
+// reporting bytes/s as cells/s.
+func benchSweep(b *testing.B, x, y []byte, m *scoring.Matrix, mod kernel.Model, backward bool) {
+	k := kernel.New(m, mod, memory.NewRowPool(), nil)
+	top := k.LeadEdge(len(y), 0)
+	left := k.LeadEdge(len(x), 0)
+	out := k.NewEdge(len(y))
+	sweep := k.Forward
+	if backward {
+		// Trailing-gap boundaries: the leading-gap edges read back to front.
+		for _, e := range []kernel.Edge{top, left} {
+			slices.Reverse(e.H)
+			slices.Reverse(e.G)
+		}
+		sweep = k.Backward
+	}
+	b.SetBytes(int64(len(x)) * int64(len(y)))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := k.Forward(x.Residues, y.Residues, top, left, out, kernel.Edge{}); err != nil {
+		if err := sweep(x, y, top, left, out, kernel.Edge{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkForwardAffine measures the three-plane sweep in cells/second —
+// the inner loop of every affine aligner in the repository — over an
+// unrelated random pair.
+func BenchmarkForwardAffine(b *testing.B) {
+	x, y := testutil.RandomPair(1024, 1024, seq.Protein, 8)
+	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1), false)
+}
+
+// BenchmarkForwardAffineHomologous is the three-plane sweep over a pair
+// shaped like the served protein traffic: BLOSUM62, affine -11/-1, ~1000
+// residues at 20% divergence, about one parallel fill tile.
+func BenchmarkForwardAffineHomologous(b *testing.B) {
+	x, y, err := seq.HomologousPair(1000, seq.Protein, proteinDivergence20, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1), false)
 }
 
 // BenchmarkForwardLinear is the single-plane counterpart, pinning that the
 // unified kernel keeps the linear fast path allocation-free once edges are
 // pooled.
 func BenchmarkForwardLinear(b *testing.B) {
-	const n = 1024
-	x, y := testutil.RandomPair(n, n, seq.DNA, 8)
-	pool := memory.NewRowPool()
-	k := kernel.New(scoring.DNASimple, kernel.Linear(-4), pool, nil)
-	top := k.LeadEdge(n, 0)
-	left := k.LeadEdge(n, 0)
-	out := k.NewEdge(n)
-	b.SetBytes(n * n)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := k.Forward(x.Residues, y.Residues, top, left, out, kernel.Edge{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	x, y := testutil.RandomPair(1024, 1024, seq.DNA, 8)
+	benchSweep(b, x.Residues, y.Residues, scoring.DNASimple, kernel.Linear(-4), false)
+}
+
+// BenchmarkBackwardAffine and BenchmarkBackwardLinear time the suffix
+// sweeps Hirschberg's split step pairs with Forward.
+func BenchmarkBackwardAffine(b *testing.B) {
+	x, y := testutil.RandomPair(1024, 1024, seq.Protein, 8)
+	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1), true)
+}
+
+func BenchmarkBackwardLinear(b *testing.B) {
+	x, y := testutil.RandomPair(1024, 1024, seq.DNA, 8)
+	benchSweep(b, x.Residues, y.Residues, scoring.DNASimple, kernel.Linear(-4), true)
 }

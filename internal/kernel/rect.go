@@ -95,21 +95,9 @@ func (k *Kernel) FillRegion(a, b []byte, rt Rect, r0, r1, c0, c1 int) error {
 		if err := poll.Tick(c1 - c0); err != nil {
 			return err
 		}
-		base := r * stride
-		prev := base - stride
-		srow := k.M.Row(a[r-1])
-		rv := buf[base+c0]
-		for j := c0 + 1; j <= c1; j++ {
-			best := buf[prev+j-1] + int64(srow[b[j-1]])
-			if v := buf[prev+j] + gap; v > best {
-				best = v
-			}
-			if v := rv + gap; v > best {
-				best = v
-			}
-			buf[base+j] = best
-			rv = best
-		}
+		lo, hi := r*stride+c0+1, r*stride+c1+1
+		up, upHi := lo-stride, hi-stride
+		linearRow(buf[lo:hi], buf[up:upHi], b[c0:c1], k.M.Row(a[r-1]), buf[up-1], buf[lo-1], gap)
 	}
 	k.C.AddCells(int64(r1-r0) * int64(c1-c0))
 	return nil
@@ -124,29 +112,10 @@ func (k *Kernel) fillRegionAffine(a, b []byte, rt Rect, r0, r1, c0, c1 int) erro
 		if err := poll.Tick(c1 - c0); err != nil {
 			return err
 		}
-		base := r * stride
-		prev := base - stride
-		srow := k.M.Row(a[r-1])
-		for j := c0 + 1; j <= c1; j++ {
-			e := E[prev+j] + ext
-			if v := H[prev+j] + open + ext; v > e {
-				e = v
-			}
-			E[base+j] = e
-			f := F[base+j-1] + ext
-			if v := H[base+j-1] + open + ext; v > f {
-				f = v
-			}
-			F[base+j] = f
-			h := H[prev+j-1] + int64(srow[b[j-1]])
-			if e > h {
-				h = e
-			}
-			if f > h {
-				h = f
-			}
-			H[base+j] = h
-		}
+		lo, hi := r*stride+c0+1, r*stride+c1+1
+		up, upHi := lo-stride, hi-stride
+		affineRowStored(H[lo:hi], E[lo:hi], F[lo:hi], H[up:upHi], E[up:upHi], b[c0:c1],
+			k.M.Row(a[r-1]), H[up-1], H[lo-1], F[lo-1], open, ext)
 	}
 	k.C.AddCells(int64(r1-r0) * int64(c1-c0))
 	return nil

@@ -91,25 +91,11 @@ func (k *Kernel) forwardLinear(a, b []byte, top, left, outRow, outCol Edge) erro
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
-		srow := k.M.Row(a[r])
 		diag := row[0]
-		rv := left.H[r+1]
-		row[0] = rv
-		for j := 1; j <= n; j++ {
-			up := row[j]
-			best := diag + int64(srow[b[j-1]])
-			if v := up + gap; v > best {
-				best = v
-			}
-			if v := rv + gap; v > best {
-				best = v
-			}
-			row[j] = best
-			rv = best
-			diag = up
-		}
+		row[0] = left.H[r+1]
+		h := linearRow(row[1:], row[1:], b, k.M.Row(a[r]), diag, row[0], gap)
 		if outCol.H != nil {
-			outCol.H[r+1] = rv
+			outCol.H[r+1] = h
 		}
 	}
 	k.C.AddCells(int64(rows) * int64(n))
@@ -154,35 +140,10 @@ func (k *Kernel) forwardAffine(a, b []byte, top, left, outRow, outCol Edge) erro
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
-		srow := k.M.Row(a[r])
-		diagH := rowH[0]
-		h := left.H[r+1]
-		f := left.G[r+1]
-		rowH[0] = h
+		diag := rowH[0]
+		rowH[0] = left.H[r+1]
 		rowE[0] = NegInf
-		for j := 1; j <= n; j++ {
-			upH, upE := rowH[j], rowE[j]
-			e := upE + ext
-			if v := upH + open + ext; v > e {
-				e = v
-			}
-			fNew := f + ext
-			if v := h + open + ext; v > fNew {
-				fNew = v
-			}
-			f = fNew
-			hNew := diagH + int64(srow[b[j-1]])
-			if e > hNew {
-				hNew = e
-			}
-			if f > hNew {
-				hNew = f
-			}
-			h = hNew
-			diagH = upH
-			rowH[j] = h
-			rowE[j] = e
-		}
+		h, f := affineRow(rowH[1:], rowE[1:], b, k.M.Row(a[r]), diag, rowH[0], left.G[r+1], open, ext)
 		if outCol.H != nil {
 			outCol.H[r+1] = h
 		}
@@ -266,25 +227,11 @@ func (k *Kernel) backwardLinear(a, b []byte, bottom, right, outRow, outCol Edge)
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
-		srow := k.M.Row(a[r])
 		diag := row[n]
-		rv := right.H[r]
-		row[n] = rv
-		for j := n - 1; j >= 0; j-- {
-			down := row[j]
-			best := diag + int64(srow[b[j]])
-			if v := down + gap; v > best {
-				best = v
-			}
-			if v := rv + gap; v > best {
-				best = v
-			}
-			row[j] = best
-			rv = best
-			diag = down
-		}
+		row[n] = right.H[r]
+		h := linearRowRev(row[:n], b, k.M.Row(a[r]), diag, row[n], gap)
 		if outCol.H != nil {
-			outCol.H[r] = rv
+			outCol.H[r] = h
 		}
 	}
 	k.C.AddCells(int64(rows) * int64(n))
@@ -334,35 +281,10 @@ func (k *Kernel) backwardAffine(a, b []byte, bottom, right, outRow, outCol Edge)
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
-		srow := k.M.Row(a[r])
-		diagH := rowH[n]
-		h := right.H[r]
-		f := right.G[r]
-		rowH[n] = h
+		diag := rowH[n]
+		rowH[n] = right.H[r]
 		rowE[n] = NegInf
-		for j := n - 1; j >= 0; j-- {
-			downH, downE := rowH[j], rowE[j]
-			e := downE + ext
-			if v := downH + open + ext; v > e {
-				e = v
-			}
-			fNew := f + ext
-			if v := h + open + ext; v > fNew {
-				fNew = v
-			}
-			f = fNew
-			hNew := diagH + int64(srow[b[j]])
-			if e > hNew {
-				hNew = e
-			}
-			if f > hNew {
-				hNew = f
-			}
-			h = hNew
-			diagH = downH
-			rowH[j] = h
-			rowE[j] = e
-		}
+		h, f := affineRowRev(rowH[:n], rowE[:n], b, k.M.Row(a[r]), diag, rowH[n], right.G[r], open, ext)
 		if outCol.H != nil {
 			outCol.H[r] = h
 		}

@@ -35,7 +35,8 @@ type Counters struct {
 	// below the requested (u, v) subdivision to fit the memory budget.
 	MeshShrinks atomic.Int64
 	// SeqFillFallbacks counts parallel fills that degraded all the way to the
-	// sequential fill because even the minimum k-aligned mesh did not fit.
+	// sequential fill because even the minimum k-aligned mesh, which costs
+	// no entries, could not be reserved.
 	SeqFillFallbacks atomic.Int64
 	// PlannedFillTiles and ExecutedFillTiles compare the tile grid the
 	// requested (u, v) subdivision would have run against the grid that
