@@ -38,11 +38,10 @@ func TestAutoRevalidatesOverrides(t *testing.T) {
 // parallel AlgoAuto run under a budget that cannot hold the default tile
 // mesh completes with the sequential run's exact score.
 func TestAutoParallelTightBudget(t *testing.T) {
-	// A clearly divergent pair: DefaultHomology (~15% substitutions) now
-	// estimates above the 0.75 routing threshold and AlgoAuto would serve
-	// it with the linear-space WFA backend, which never plans tiles. This
-	// test is about the FastLSA degradation ladder, so push the divergence
-	// past the threshold.
+	// A clearly divergent pair, far below the routing threshold: AlgoAuto
+	// must serve it on FastLSA rather than the WFA backend, which never
+	// plans tiles, because this test is about the FastLSA degradation
+	// ladder.
 	divergent := fastlsa.DefaultHomology
 	divergent.SubstitutionRate = 0.35
 	a, b, err := fastlsa.HomologousPair(3000, fastlsa.DNA, divergent, 32)

@@ -73,9 +73,12 @@ func (s *server) checkpointSink(ctx context.Context) fastlsa.CheckpointSink {
 }
 
 // onJobEvent is the engine's OnJobEvent hook: it appends the lifecycle of
-// every journal-backed job. Abandoned jobs (cancelled by the shutdown drain
-// deadline) deliberately get no terminal record — the journal keeps them
-// non-terminal so the next boot re-enqueues them.
+// every journal-backed job, and deletes a job's checkpoint blob once its
+// terminal record is appended. Abandoned jobs (cancelled by the shutdown
+// drain deadline) deliberately get no terminal record and keep their blob —
+// the journal keeps them non-terminal so the next boot re-enqueues and
+// resumes them. A crash between the append and the delete leaves a blob that
+// compaction on the next open removes.
 func (s *server) onJobEvent(ev fastlsa.JobEvent) {
 	if !s.isDurable(ev.Job.ID) {
 		return
@@ -100,8 +103,14 @@ func (s *server) onJobEvent(ev fastlsa.JobEvent) {
 	}
 	rec.JobID = ev.Job.ID
 	rec.At = time.Now()
-	if err := s.journal.Append(rec); err != nil && s.logger != nil {
-		s.logger.Error("journal append failed", "job", ev.Job.ID, "type", rec.Type, "err", err)
+	if err := s.journal.Append(rec); err != nil {
+		if s.logger != nil {
+			s.logger.Error("journal append failed", "job", ev.Job.ID, "type", rec.Type, "err", err)
+		}
+		return
+	}
+	if rec.Type == journal.TypeTerminal {
+		s.journal.RemoveCheckpoint(ev.Job.ID)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -187,6 +189,39 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s2.shutdown(dctx); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+}
+
+// TestCheckpointRemovedAtTerminal: a job that checkpointed and then
+// succeeded leaves no blob behind in the running server. 10,000² cells at
+// k = 8 clear the checkpoint cadence once, after the sixth block-row.
+func TestCheckpointRemovedAtTerminal(t *testing.T) {
+	dir := t.TempDir()
+	s, h := durableServer(t, dir, 1)
+	id := submitJob(t, h.URL, slowAlignJob(10_000))
+	pollJob(t, h.URL+"/v1/jobs/"+id, "succeeded", 120*time.Second)
+	if s.metrics.CheckpointSaves.Load() == 0 {
+		t.Fatal("the job never checkpointed")
+	}
+	// The engine publishes the terminal state before its event hook runs.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.journal.LoadCheckpoint(id) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the succeeded job's checkpoint blob was not removed")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("checkpoints/ holds %d files after the job succeeded", len(entries))
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.shutdown(dctx); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
 }

@@ -266,8 +266,9 @@ const (
 	// mode, extended with a WFA fast path. Global-mode pairs whose scoring
 	// system is WFA-compatible (uniform match/mismatch matrix, see AlgoWFA)
 	// and whose estimated identity (a bounded q-gram sample of both
-	// sequences) is at least backend.RouteIdentityThreshold (75%) run on
-	// the wavefront backend — O(ns) time and, since it serves the
+	// sequences) is at least backend.RouteIdentityThreshold (0.96, the
+	// measured crossover where BiWFA stops beating FastLSA) run on the
+	// wavefront backend — O(ns) time and, since it serves the
 	// bidirectional BiWFA mode, O(s) memory; everything else — ends-free
 	// modes,
 	// non-uniform matrices, short or divergent or unestimable pairs — runs
@@ -417,7 +418,8 @@ type Options struct {
 	// like Trace; nil-safe and allocation-free when absent.
 	Recorder *Recorder
 	// Checkpoint, when non-nil, persists grid-cache snapshots of the run's
-	// root fill at block-row boundaries and is consulted on start to resume a
+	// root fill at block-row boundaries, at most one per ~100 ms of fill (a
+	// smaller run never saves), and is consulted on start to resume a
 	// crashed run past its completed rows. FastLSA runs only (other backends
 	// ignore it); per-run state like Trace — the server binds one sink per
 	// job. A failed save or an unusable snapshot degrades to a cold run,
@@ -671,8 +673,9 @@ func AlignMSA(seqs []*Sequence, opt Options) (*MSA, error) {
 // result is the global optimum whenever the optimal path fits in the band
 // (guaranteed for band >= max(m, n)); otherwise it is the best alignment
 // confined to the band. band <= 0 selects the adaptive variant, which
-// doubles the band until the score converges and is therefore always exact.
-// Linear gap models only.
+// widens the band until a counting bound on every path outside it falls
+// below the banded score, so its result is the global optimum (see
+// fm.AlignBandedAdaptive). Linear gap models only.
 func AlignBanded(a, b *Sequence, opt Options, band int) (*Alignment, error) {
 	opt, err := opt.normalise()
 	if err != nil {

@@ -40,17 +40,16 @@ const (
 )
 
 // RouteIdentityThreshold is the estimated-identity floor for routing to
-// WFA under AlgoAuto. WFA's time grows with the square of the unit-cost
-// distance (cells ≈ E²/e), so the floor sits where the time crossover
-// against FastLSA's flat mn cost lives: the E13/E15 curves put it near
-// 0.70–0.75 identity. It used to be a memory-conservative 0.90 — the
-// unidirectional kernel retained its whole O(s²) wavefront history — but
-// the backend now serves the bidirectional BiWFA mode, whose memory is O(s)
-// and comfortably below FastLSA's own footprint everywhere near the
-// crossover, so time is the only axis left to be conservative about.
+// WFA under AlgoAuto. BiWFA's time grows with the square of the unit-cost
+// distance while FastLSA's mn cost is flat, so the floor sits at the
+// measured time crossover: E15 (docs/BACKENDS.md) puts BiWFA ahead at 2%
+// divergence (estimates 0.969 at n=3000, 0.973 at n=8000) and behind at 5%
+// (0.934, 0.937); interpolating the logged time ratio between those rungs
+// crosses 1 at 0.959 and 0.957 in the committed rows (BENCH_E15_BIWFA.json).
+// Both engines are linear-space, so time is the only axis.
 // ErrBudgetExceeded still falls back to budget-planned FastLSA as the
 // safety net (ReasonBudgetFallback).
-const RouteIdentityThreshold = 0.75
+const RouteIdentityThreshold = 0.96
 
 // MinRouteLen is the per-sequence length floor for WFA routing: below it a
 // full DP is microseconds anyway and the q-gram estimate has too few grams

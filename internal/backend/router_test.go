@@ -101,3 +101,32 @@ func TestDecide(t *testing.T) {
 		})
 	}
 }
+
+// TestDecideCrossover pins the threshold to the measured crossover on
+// perfbench's divergence model (DNA +5/-4, linear -4): BiWFA beats FastLSA at
+// 1% divergence and loses at 5% (E15), so a 1% pair must route to WFA and a
+// 5% pair to FastLSA at both lengths.
+func TestDecideCrossover(t *testing.T) {
+	for _, n := range []int{1000, 3000} {
+		for _, tc := range []struct {
+			divergence  float64
+			wantBackend string
+			wantReason  string
+		}{
+			{0.01, backend.NameWFA, backend.ReasonLowDivergence},
+			{0.05, backend.NameFastLSA, backend.ReasonHighDivergence},
+		} {
+			for seed := int64(1); seed <= 3; seed++ {
+				a, b, err := seq.HomologousPair(n, seq.DNA, routerModel(tc.divergence), seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := backend.Decide(a, b, scoring.DNASimple, scoring.Linear(-4), align.Mode{}, false)
+				if r.Backend != tc.wantBackend || r.Reason != tc.wantReason {
+					t.Errorf("n=%d divergence %.2f seed %d: routed to %s (%s) at estimate %.3f, want %s (%s)",
+						n, tc.divergence, seed, r.Backend, r.Reason, r.Identity, tc.wantBackend, tc.wantReason)
+				}
+			}
+		}
+	}
+}

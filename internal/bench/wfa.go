@@ -82,7 +82,8 @@ var biwfaDivergences = []float64{0.01, 0.02, 0.05}
 // backtrace — O(s²) entries for optimal penalty s — while BiWFA keeps only a
 // bounded window per direction, O(s) — so the peak ratio should grow with
 // divergence and clear 10x across the band. FastLSA re-aligns each pair as
-// the score oracle.
+// the score oracle, and its time against BiWFA's (the mode the wfa backend
+// serves) next to the identity estimate locates the routing crossover.
 func ExperimentBiWFA(w io.Writer, n int) error {
 	if n == 0 {
 		n = 3000
@@ -90,7 +91,8 @@ func ExperimentBiWFA(w io.Writer, n int) error {
 	matrix := scoring.DNASimple
 	gap := scoring.Linear(-4)
 	t := NewTable(fmt.Sprintf("E15: WFA vs BiWFA peak memory by divergence (dna n=%d, +5/-4, gap -4)", n),
-		"divergence", "wfa-ms", "biwfa-ms", "wfa-peak", "biwfa-peak", "mem-ratio", "same-score")
+		"divergence", "identity-est", "route", "fastlsa-ms", "wfa-ms", "biwfa-ms",
+		"wfa-peak", "biwfa-peak", "mem-ratio", "same-score")
 	// Roomy enough that no run degrades or falls back: the comparison is
 	// about high-water marks, not budget pressure.
 	const roomy = int64(1) << 32
@@ -106,6 +108,7 @@ func ExperimentBiWFA(w io.Writer, n int) error {
 		if err != nil {
 			return err
 		}
+		route := backend.Decide(a, b, matrix, gap, align.Mode{}, false)
 		mf := Run(a, b, matrix, Config{Engine: EngineFastLSA, Gap: gap})
 		if mf.Err != nil {
 			return mf.Err
@@ -123,7 +126,8 @@ func ExperimentBiWFA(w io.Writer, n int) error {
 			ratio = float64(mw.PeakMem) / float64(mb.PeakMem)
 		}
 		same := mf.Score == mw.Score && mw.Score == mb.Score
-		t.AddRow(d,
+		t.AddRow(d, fmt.Sprintf("%.3f", route.Identity), route.Backend,
+			float64(mf.Duration.Microseconds())/1000,
 			float64(mw.Duration.Microseconds())/1000,
 			float64(mb.Duration.Microseconds())/1000,
 			mw.PeakMem, mb.PeakMem, ratio, same)
@@ -131,5 +135,6 @@ func ExperimentBiWFA(w io.Writer, n int) error {
 	t.AddNote("peaks: budget high-water marks in 8-byte entries (reversed-residue scratch excluded, as in hirschberg)")
 	t.AddNote("mem-ratio: wfa-peak / biwfa-peak — the linear-space win the wfa backend's LinearSpace capability claims")
 	t.AddNote("same-score: both kernels match the FastLSA score exactly")
+	t.AddNote("route: AlgoAuto's verdict at threshold %.2f; it should pick wfa exactly where biwfa-ms < fastlsa-ms", backend.RouteIdentityThreshold)
 	return t.Fprint(w)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -71,10 +72,85 @@ func ckptOpts(c *stats.Counters, sink CheckpointSink) Options {
 	return Options{K: 4, BaseCells: 64, Workers: 1, Counters: c, Checkpoint: sink}
 }
 
+// setCheckpointCadence sets ckptEveryCells for one test. Cadence 1 saves
+// after every block-row, which small test runs need to checkpoint at all.
+func setCheckpointCadence(t *testing.T, cells int64) {
+	t.Helper()
+	old := ckptEveryCells
+	ckptEveryCells = cells
+	t.Cleanup(func() { ckptEveryCells = old })
+}
+
+// TestCheckpointCadenceSmallRunNeverSaves: at the committed cadence a small
+// run with a sink saves nothing and returns the result of a sink-less run.
+func TestCheckpointCadenceSmallRunNeverSaves(t *testing.T) {
+	a, b, m, gap := ckptSeqs(t, 400)
+	want, err := Align(a, b, m, gap, ckptOpts(nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		sink := &memSink{}
+		var c stats.Counters
+		opt := ckptOpts(&c, sink)
+		opt.Workers, opt.ParallelFillCells = workers, 1
+		got, err := Align(a, b, m, gap, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sink.saves != 0 || c.CheckpointSaves.Load() != 0 {
+			t.Fatalf("workers %d: %d saves (%d counted), want 0", workers, sink.saves, c.CheckpointSaves.Load())
+		}
+		if got.Score != want.Score || got.Path.String() != want.Path.String() {
+			t.Fatalf("workers %d: result with a sink differs from the sink-less run", workers)
+		}
+	}
+}
+
+// TestCheckpointCadence pins the save count exactly. The 400x400 root at
+// K=4 fills block-rows of 40,000 cells, 40,000, 40,000 and 30,000 (the last
+// row omits the recursively solved bottom-right block): 150,000 in all. The
+// parallel fill has one boundary, its completion.
+func TestCheckpointCadence(t *testing.T) {
+	a, b, m, gap := ckptSeqs(t, 400)
+	for _, tc := range []struct {
+		workers  int
+		cadence  int64
+		saves    int
+		lastDone uint32 // completed block-rows in the last snapshot
+	}{
+		{1, 1, 4, 4},
+		{1, 40_000, 3, 3},
+		{1, 80_000, 1, 2},
+		{1, 150_000, 1, 4},
+		{1, 150_001, 0, 0},
+		{4, 80_000, 1, 4},
+		{4, 150_000, 1, 4},
+		{4, 150_001, 0, 0},
+	} {
+		setCheckpointCadence(t, tc.cadence)
+		sink := &memSink{}
+		opt := ckptOpts(nil, sink)
+		opt.Workers, opt.ParallelFillCells = tc.workers, 1
+		if _, err := Align(a, b, m, gap, opt); err != nil {
+			t.Fatal(err)
+		}
+		var done uint32
+		if len(sink.blob) > 0 {
+			done = binary.LittleEndian.Uint32(sink.blob[32:])
+		}
+		if sink.saves != tc.saves || done != tc.lastDone {
+			t.Errorf("workers %d, cadence %d: %d saves, last at block-row %d; want %d, %d",
+				tc.workers, tc.cadence, sink.saves, done, tc.saves, tc.lastDone)
+		}
+	}
+}
+
 // TestCheckpointResumeEquivalence: a run resumed from a mid-fill checkpoint
 // must produce the identical score and path as a cold run, and recompute
 // strictly fewer cells (the ISSUE's recomputation-factor < 1.0 assertion).
 func TestCheckpointResumeEquivalence(t *testing.T) {
+	setCheckpointCadence(t, 1)
 	a, b, m, gap := ckptSeqs(t, 400)
 
 	var cold stats.Counters
@@ -123,6 +199,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 // TestCheckpointCompleteRestore: resuming from a complete (post-fill)
 // snapshot skips the root fill entirely.
 func TestCheckpointCompleteRestore(t *testing.T) {
+	setCheckpointCadence(t, 1)
 	a, b, m, gap := ckptSeqs(t, 400)
 	sink := &memSink{}
 	var cold stats.Counters
@@ -150,6 +227,7 @@ func TestCheckpointCompleteRestore(t *testing.T) {
 // TestCheckpointMismatchIgnored: a snapshot from different inputs must be
 // rejected (cold run), never applied.
 func TestCheckpointMismatchIgnored(t *testing.T) {
+	setCheckpointCadence(t, 1)
 	a, b, m, gap := ckptSeqs(t, 400)
 	sink := &memSink{}
 	if _, err := Align(a, b, m, gap, ckptOpts(nil, sink)); err != nil {
@@ -177,6 +255,7 @@ func TestCheckpointMismatchIgnored(t *testing.T) {
 // TestCheckpointCorruptBlobIgnored: truncations and bit flips anywhere in
 // the blob must degrade to a cold run with the exact cold result.
 func TestCheckpointCorruptBlobIgnored(t *testing.T) {
+	setCheckpointCadence(t, 1)
 	a, b, m, gap := ckptSeqs(t, 300)
 	sink := &memSink{}
 	want, err := Align(a, b, m, gap, ckptOpts(nil, sink))
@@ -185,10 +264,10 @@ func TestCheckpointCorruptBlobIgnored(t *testing.T) {
 	}
 	pristine := append([]byte(nil), sink.blob...)
 	for _, mutate := range []func([]byte) []byte{
-		func(bl []byte) []byte { return bl[:len(bl)/3] },          // truncated
-		func(bl []byte) []byte { bl[8] ^= 0xff; return bl },       // ident flip
+		func(bl []byte) []byte { return bl[:len(bl)/3] },            // truncated
+		func(bl []byte) []byte { bl[8] ^= 0xff; return bl },         // ident flip
 		func(bl []byte) []byte { bl[len(bl)-1] ^= 0x01; return bl }, // tail flip
-		func(bl []byte) []byte { return bl[:0] },                  // empty
+		func(bl []byte) []byte { return bl[:0] },                    // empty
 	} {
 		blob := mutate(append([]byte(nil), pristine...))
 		var c stats.Counters
@@ -208,6 +287,7 @@ func TestCheckpointCorruptBlobIgnored(t *testing.T) {
 // TestCheckpointSaveFailureIsAdvisory: a sink whose saves fail must not fail
 // or change the run.
 func TestCheckpointSaveFailureIsAdvisory(t *testing.T) {
+	setCheckpointCadence(t, 1)
 	a, b, m, gap := ckptSeqs(t, 300)
 	want, err := Align(a, b, m, gap, ckptOpts(nil, nil))
 	if err != nil {
@@ -229,6 +309,7 @@ func TestCheckpointSaveFailureIsAdvisory(t *testing.T) {
 // TestCheckpointAffine: the two-lane (affine) grid round-trips through the
 // snapshot too.
 func TestCheckpointAffine(t *testing.T) {
+	setCheckpointCadence(t, 1)
 	a, b, m, _ := ckptSeqs(t, 350)
 	gap := scoring.Affine(-10, -2)
 	var cold stats.Counters
@@ -257,6 +338,7 @@ func TestCheckpointAffine(t *testing.T) {
 // TestCheckpointParallelRun: a parallel run with a sink must still be
 // correct; a resumed partial snapshot forces the sequential continuation.
 func TestCheckpointParallelRun(t *testing.T) {
+	setCheckpointCadence(t, 1)
 	a, b, m, gap := ckptSeqs(t, 500)
 	opts := func(c *stats.Counters, sink CheckpointSink) Options {
 		return Options{K: 4, BaseCells: 64, Workers: 4, ParallelFillCells: 1,

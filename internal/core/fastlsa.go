@@ -71,8 +71,8 @@ type solver struct {
 	baseCharge int64
 
 	// ckptGrid is the root grid cache while Options.Checkpoint is active:
-	// the sequential fill saves a snapshot after each completed block-row of
-	// this grid and of no other (checkpoint.go).
+	// the fill saves snapshots of this grid and of no other, at block-row
+	// boundaries on the ckptEveryCells cadence (checkpoint.go).
 	ckptGrid *gridCache
 }
 
@@ -191,7 +191,7 @@ func (s *solver) solve(t rect, top, left kernel.Edge, state int) (exitR, exitC, 
 
 	// Only the root grid checkpoints: seed it from the sink's snapshot (a
 	// cold run resumes at block-row 0) and register it so the fill saves
-	// progress at block-row boundaries.
+	// progress at block-row boundaries, on the checkpoint cadence.
 	start := 0
 	if s.opt.ckpt != nil && t.r0 == 0 && t.c0 == 0 && t.r1 == len(s.a) && t.c1 == len(s.b) {
 		s.ckptGrid = grid
@@ -237,7 +237,7 @@ func (s *solver) fillGridCache(grid *gridCache, start int) error {
 	var err error
 	if start == 0 && s.opt.workers > 1 && t.rows()*t.cols() >= s.opt.parMinArea {
 		err = s.fillGridCacheParallel(grid)
-		if err == nil && grid == s.ckptGrid {
+		if err == nil && grid == s.ckptGrid && grid.fillCells(0, grid.k) >= ckptEveryCells {
 			s.saveCheckpoint(grid, grid.k)
 		}
 	} else {
@@ -251,10 +251,12 @@ func (s *solver) fillGridCache(grid *gridCache, start int) error {
 // block-row start. It needs no memory beyond the grid lines themselves,
 // which makes it the terminal rung of the parallel fill's degradation
 // ladder: fillGridCacheParallel falls back here when the budget cannot hold
-// even the minimum tile mesh. When this grid is the checkpointed root, every
-// completed block-row is snapshotted into the sink.
+// even the minimum tile mesh. When this grid is the checkpointed root, a
+// completed block-row is snapshotted into the sink once the cells filled
+// since the last save (or since this fill began) reach ckptEveryCells.
 func (s *solver) fillGridCacheSeq(grid *gridCache, start int) error {
 	k := grid.k
+	var unsaved int64
 	for u := start; u < k; u++ {
 		for v := 0; v < k; v++ {
 			if u == k-1 && v == k-1 {
@@ -265,7 +267,10 @@ func (s *solver) fillGridCacheSeq(grid *gridCache, start int) error {
 			}
 		}
 		if grid == s.ckptGrid {
-			s.saveCheckpoint(grid, u+1)
+			if unsaved += grid.fillCells(u, u+1); unsaved >= ckptEveryCells {
+				s.saveCheckpoint(grid, u+1)
+				unsaved = 0
+			}
 		}
 	}
 	return nil

@@ -183,3 +183,15 @@ func (g *gridCache) inputCol(u, v, r int) kernel.Edge {
 func (g *gridCache) blockRect(u, v int) rect {
 	return rect{r0: g.rs[u], c0: g.cs[v], r1: g.rs[u+1], c1: g.cs[v+1]}
 }
+
+// fillCells returns the cells the Fill Cache computes in block-rows
+// [from, to): every block of those rows except the bottom-right one, which
+// is solved recursively instead.
+func (g *gridCache) fillCells(from, to int) int64 {
+	cells := int64(g.rs[to]-g.rs[from]) * int64(g.t.cols())
+	if to == g.k {
+		last := g.blockRect(g.k-1, g.k-1)
+		cells -= int64(last.rows()) * int64(last.cols())
+	}
+	return cells
+}

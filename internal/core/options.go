@@ -90,7 +90,8 @@ type Options struct {
 	// through it (obs.Run.Phase). The zero value records no spans or events.
 	Obs obs.Run
 	// Checkpoint, when non-nil, checkpoints the root grid cache through the
-	// sink at block-row boundaries and seeds it from the sink's snapshot on
+	// sink at block-row boundaries, on the ckptEveryCells cadence (a fill
+	// smaller than it never saves), and seeds it from the sink's snapshot on
 	// resume, so a recovered job skips already-filled strips (see
 	// checkpoint.go and docs/DURABILITY.md). Nil disables checkpointing.
 	Checkpoint CheckpointSink

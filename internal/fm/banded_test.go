@@ -159,3 +159,36 @@ func newBudget(t *testing.T, n int64) (*memory.Budget, error) {
 	t.Helper()
 	return memory.NewBudget(n)
 }
+
+// TestBandedAdaptiveExact: the adaptive band returns the full-matrix optimum
+// on random, unequal-length and shifted-repeat (a = R1+S, b = S+R2) pairs,
+// across matrices, gap costs and start bands.
+func TestBandedAdaptiveExact(t *testing.T) {
+	for seed := int64(0); seed < 120; seed++ {
+		alpha, m := seq.DNA, scoring.DNASimple
+		if seed%3 == 0 {
+			alpha, m = seq.Protein, scoring.BLOSUM62
+		}
+		gap := scoring.Linear(-1 - int(seed%8))
+		r1 := seq.Random("r1", int(seed%23), alpha, seed)
+		s := seq.Random("s", 20+int(seed*13%90), alpha, seed+1000)
+		r2 := seq.Random("r2", int(seed*7%29), alpha, seed+2000)
+		a, b := r1, s
+		if seed%2 == 0 {
+			a = &seq.Sequence{ID: "a", Alphabet: alpha, Residues: append(append([]byte{}, r1.Residues...), s.Residues...)}
+			b = &seq.Sequence{ID: "b", Alphabet: alpha, Residues: append(append([]byte{}, s.Residues...), r2.Residues...)}
+		}
+		full, err := fm.Align(a, b, m, gap, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, band, err := fm.AlignBandedAdaptive(a, b, m, gap, 1+int(seed%8), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Score != full.Score {
+			t.Fatalf("seed %d (%dx%d, %s, gap %d): adaptive band %d scored %d, full %d",
+				seed, a.Len(), b.Len(), m.Name, gap.Extend, band, res.Score, full.Score)
+		}
+	}
+}

@@ -38,7 +38,7 @@ func TestEstimateIdentityTracksDivergence(t *testing.T) {
 		// Chance 8-gram collisions alone would floor the raw shared
 		// fraction near (window grams)/4^8; the estimator subtracts that
 		// background, so deeply divergent pairs must estimate well below
-		// the 0.75 routing threshold instead of riding the floor.
+		// the routing threshold instead of riding the floor.
 		{0.60, 0.0, 0.70},
 	}
 	prev := 2.0

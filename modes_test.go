@@ -147,3 +147,39 @@ func TestFacadeBanded(t *testing.T) {
 		t.Fatalf("wide banded %d != full %d", banded.Score, full.Score)
 	}
 }
+
+// TestFacadeBandedShiftedRepeat: a = R1+S, b = S+R2 puts the optimal path
+// on diagonal |R| = 49, outside any band narrow enough to converge by
+// score alone (two widths can agree on a sub-optimal score). The adaptive
+// band must still return the optimum.
+func TestFacadeBandedShiftedRepeat(t *testing.T) {
+	matrix, err := fastlsa.MatrixByName("dna")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := fastlsa.Options{Matrix: matrix, Gap: fastlsa.Linear(-6), Workers: 1}
+	for seed := int64(1); seed <= 8; seed++ {
+		r1 := fastlsa.RandomSequence("r1", 49, fastlsa.DNA, 3*seed)
+		s := fastlsa.RandomSequence("s", 316, fastlsa.DNA, 3*seed+1)
+		r2 := fastlsa.RandomSequence("r2", 49, fastlsa.DNA, 3*seed+2)
+		a, err := fastlsa.NewSequence("a", r1.String()+s.String(), fastlsa.DNA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fastlsa.NewSequence("b", s.String()+r2.String(), fastlsa.DNA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fastlsa.Score(a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fastlsa.AlignBanded(a, b, opt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Score != want {
+			t.Errorf("seed %d: adaptive banded score %d, optimum %d", seed, got.Score, want)
+		}
+	}
+}
