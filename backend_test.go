@@ -123,6 +123,21 @@ func divergencePair(t *testing.T, n int, sub float64, seed int64) (*fastlsa.Sequ
 	return a, b
 }
 
+// rotatedPair returns a random DNA sequence of length n and its rotation by
+// k. The two share almost every q-gram, so the identity estimate routes them
+// to WFA, yet their edit distance is about 2k: the wavefronts grow with it
+// where FastLSA's footprint does not.
+func rotatedPair(t *testing.T, n, k int, seed int64) (*fastlsa.Sequence, *fastlsa.Sequence) {
+	t.Helper()
+	a, _ := divergencePair(t, n, 0, seed)
+	s := a.String()
+	b, err := fastlsa.NewSequence("rotated", s[k:]+s[:k], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
 // TestAutoRouting is the acceptance anchor: under AlgoAuto a ≥95%-identity
 // DNA pair runs on WFA, a ≤70%-identity pair on FastLSA, with the decision
 // reported through Options.Route and a backend.route trace span — and the
@@ -227,7 +242,7 @@ func TestAutoRouting(t *testing.T) {
 // budget reruns on budget-planned FastLSA instead of failing, reporting the
 // budget-fallback reason, and still returns the optimal score.
 func TestAutoBudgetFallback(t *testing.T) {
-	a, b := divergencePair(t, 2000, 0.04, 61)
+	a, b := rotatedPair(t, 2000, 500, 61)
 	var route fastlsa.RouteInfo
 	opt := fastlsa.Options{
 		Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4),
@@ -251,10 +266,10 @@ func TestAutoBudgetFallback(t *testing.T) {
 
 // TestBudgetFallbackLogsReroute: the budget fallback's re-route is logged
 // as route.budget-fallback + route events, not as a second, zero-length
-// backend.route span. The ~78%-identity pair routes to WFA, whose
-// wavefronts outgrow a budget planned FastLSA fits.
+// backend.route span. The rotated pair routes to WFA, whose wavefronts
+// outgrow a budget planned FastLSA fits.
 func TestBudgetFallbackLogsReroute(t *testing.T) {
-	a, b := divergencePair(t, 2000, 0.2, 61)
+	a, b := rotatedPair(t, 2000, 500, 61)
 	var route fastlsa.RouteInfo
 	tr, rec := fastlsa.NewTrace(0), fastlsa.NewRecorder(0)
 	if _, err := fastlsa.Align(a, b, fastlsa.Options{
