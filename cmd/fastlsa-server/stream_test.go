@@ -170,9 +170,9 @@ func TestSearchGETWithoutCorpus(t *testing.T) {
 func TestSearchGETValidation(t *testing.T) {
 	srv, query, _ := corpusServer(t, serverConfig{})
 	for _, qs := range []string{
-		"?q=",                                  // empty query
-		"?q=ACGT&topK=x",                       // bad number
-		"?q=ACXT",                              // invalid residue
+		"?q=",            // empty query
+		"?q=ACGT&topK=x", // bad number
+		"?q=ACXT",        // invalid residue
 		"?q=" + query.String() + "&matrix=blosum62", // wrong alphabet
 	} {
 		resp, err := http.Get(srv.URL + "/v1/search" + qs)

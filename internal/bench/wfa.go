@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/backend"
 	"fastlsa/internal/index"
+	"fastlsa/internal/memory"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
 )
@@ -16,6 +18,11 @@ import (
 // divergence while FastLSA's O(mn) cost stays flat. The ladder brackets the
 // crossover from both sides.
 var wfaDivergences = []float64{0.001, 0.01, 0.05, 0.10, 0.20, 0.30}
+
+// wfaBudget caps the entries one E13 WFA run may retain (128 MiB): the
+// kernel keeps every wavefront, O(s²) for penalty s, so top rungs at large n
+// would otherwise grow to gigabytes.
+var wfaBudget = int64(1) << 24
 
 // ExperimentWFACrossover (E13) measures the FastLSA-vs-WFA crossover that
 // motivates divergence-adaptive routing (docs/BACKENDS.md): identical
@@ -55,7 +62,11 @@ func ExperimentWFACrossover(w io.Writer, n int) error {
 		if mf.Err != nil {
 			return mf.Err
 		}
-		mw := Run(a, b, matrix, Config{Engine: EngineWFA, Gap: gap})
+		mw := Run(a, b, matrix, Config{Engine: EngineWFA, Gap: gap, Budget: wfaBudget})
+		if errors.Is(mw.Err, memory.ErrExceeded) {
+			t.AddRow(d, identityCell, route.Backend, float64(mf.Duration.Microseconds())/1000, "over-budget", "n/a", "n/a", "n/a")
+			continue
+		}
 		if mw.Err != nil {
 			return mw.Err
 		}
@@ -68,6 +79,7 @@ func ExperimentWFACrossover(w io.Writer, n int) error {
 	t.AddNote("wfa-cells: wavefront entries expanded; FastLSA computes ~m*n cells at every divergence")
 	t.AddNote("route: AlgoAuto's verdict at threshold %.2f — wfa while the estimate stays above it", backend.RouteIdentityThreshold)
 	t.AddNote("speedup: fastlsa-ms / wfa-ms (>1 means WFA wins)")
+	t.AddNote("over-budget: WFA would retain more than %d entries; the run stopped there", wfaBudget)
 	return t.Fprint(w)
 }
 

@@ -66,7 +66,8 @@ type solver struct {
 
 	// baseRect is the pre-reserved Base Case plane set of BM entries per live
 	// plane (paper §3: "Prior to running FastLSA, BM units of memory are
-	// reserved"), drawn from the row pool and recycled on close.
+	// reserved"), capped at the whole problem's (m+1)(n+1), drawn from the
+	// row pool and recycled on close.
 	baseRect   kernel.Rect
 	baseCharge int64
 
@@ -77,15 +78,18 @@ type solver struct {
 }
 
 func newSolver(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kernel.Model, opt resolved) (*solver, error) {
-	charge := int64(mod.Planes()) * int64(opt.baseCells)
+	// No subproblem outgrows the whole matrix, so planes of
+	// min(BM, (m+1)(n+1)) entries hold every base case the BM test admits.
+	cells := int(min(int64(opt.baseCells), int64(a.Len()+1)*int64(b.Len()+1)))
+	charge := int64(mod.Planes()) * int64(cells)
 	if err := opt.budget.Reserve(charge); err != nil {
 		return nil, fmt.Errorf("core: base case buffer of %d entries: %w", charge, err)
 	}
 	k := kernel.New(m, mod, opt.pool, opt.c)
-	rt := kernel.Rect{H: opt.pool.GetFull(opt.baseCells)}
+	rt := kernel.Rect{H: opt.pool.GetFull(cells)}
 	if mod.IsAffine() {
-		rt.E = opt.pool.GetFull(opt.baseCells)
-		rt.F = opt.pool.GetFull(opt.baseCells)
+		rt.E = opt.pool.GetFull(cells)
+		rt.F = opt.pool.GetFull(cells)
 	}
 	return &solver{
 		a:          a.Residues,

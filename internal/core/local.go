@@ -22,6 +22,15 @@ import (
 // full Smith-Waterman matrix is never stored. Both gap models are supported
 // (the scans and the global solve share the gap-generic kernel).
 func AlignLocal(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options) (fm.LocalResult, error) {
+	return AlignLocalFrom(a, b, m, gap, opt, -1, 0, 0)
+}
+
+// AlignLocalFrom is AlignLocal for a caller that has already run step 1:
+// best, endR and endC are kernel.LocalScore's result for a against b under
+// the same scoring (database search carries them over from its verify scan),
+// so only the reverse scan and the FastLSA solve run. A negative best runs
+// step 1 here.
+func AlignLocalFrom(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options, best int64, endR, endC int) (fm.LocalResult, error) {
 	if err := gap.Validate(); err != nil {
 		return fm.LocalResult{}, err
 	}
@@ -30,10 +39,10 @@ func AlignLocal(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Opti
 		return fm.LocalResult{}, err
 	}
 	k := kernel.New(m, kernel.FromGap(gap), r.pool, r.c)
-
-	best, endR, endC, err := k.LocalScore(a.Residues, b.Residues)
-	if err != nil {
-		return fm.LocalResult{}, err
+	if best < 0 {
+		if best, endR, endC, err = k.LocalScore(a.Residues, b.Residues); err != nil {
+			return fm.LocalResult{}, err
+		}
 	}
 	if best == 0 {
 		return fm.LocalResult{}, nil

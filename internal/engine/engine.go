@@ -18,6 +18,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -465,7 +466,9 @@ type Engine struct {
 	cond       *sync.Cond
 	queue      jobHeap
 	jobs       map[string]*Job   // public registry (excludes batch units)
-	order      []string          // registry in submission order, for List/eviction
+	order      []*Job            // registry in submission order, for List/eviction
+	finished   int               // terminal jobs in order
+	keepFrom   int               // order index from which finished jobs keep results
 	live       map[*Job]struct{} // every non-terminal job, batch units included
 	closed     bool
 	nextID     uint64
@@ -697,7 +700,7 @@ func (e *Engine) enqueueLocked(sub Submission, batch string, register bool) *Job
 	}
 	if register {
 		e.jobs[j.id] = j
-		e.order = append(e.order, j.id)
+		e.order = append(e.order, j)
 	}
 	e.notify(EventAccepted, j)
 	return j
@@ -899,7 +902,7 @@ func (e *Engine) finishLocked(j *Job, result any, err error) {
 	close(j.done)
 	e.notify(EventFinished, j)
 	if j.batch == "" {
-		e.evictLocked()
+		e.evictLocked(j)
 	}
 }
 
@@ -907,50 +910,50 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// evictLocked drops the oldest finished registered jobs beyond MaxRetained,
-// and drops the result payloads of all but the newest MaxRetainedResults
-// finished jobs: a retained job's metadata is tiny, but its result can be an
-// entire alignment response, and 256 of those pin real memory on a
-// long-lived server.
-func (e *Engine) evictLocked() {
-	finished := 0
-	for _, id := range e.order {
-		if j := e.jobs[id]; j != nil && j.state.Terminal() {
-			finished++
-		}
-	}
-	if finished > e.cfg.MaxRetained {
-		keep := e.order[:0]
-		for _, id := range e.order {
-			j := e.jobs[id]
-			if j != nil && j.state.Terminal() && finished > e.cfg.MaxRetained {
-				delete(e.jobs, id)
-				finished--
-				continue
+// evictLocked records that x, a registered job, has just finished. It drops
+// the oldest finished registered jobs beyond MaxRetained, and drops the
+// result payloads of all but the newest MaxRetainedResults finished jobs: a
+// retained job's metadata is tiny, but its result can be an entire alignment
+// response, and 256 of those pin real memory on a long-lived server. Both
+// steps stop early, so a finish costs amortised O(1), not a registry walk.
+func (e *Engine) evictLocked(x *Job) {
+	e.finished++
+	if e.finished > e.cfg.MaxRetained {
+		// The oldest finished jobs lead e.order, behind at most the live
+		// jobs, which slide up against the untouched tail.
+		i, w := 0, 0
+		for ; e.finished > e.cfg.MaxRetained; i++ {
+			if j := e.order[i]; j.state.Terminal() {
+				delete(e.jobs, j.id)
+				e.finished--
+			} else {
+				e.order[w] = j
+				w++
 			}
-			keep = append(keep, id)
 		}
-		e.order = keep
+		copy(e.order[i-w:i], e.order[:w])
+		clear(e.order[:i-w])
+		e.order = e.order[i-w:]
+		e.keepFrom = max(e.keepFrom-(i-w), 0)
 	}
-
-	if finished <= e.cfg.MaxRetainedResults {
-		return
+	if e.cfg.MaxRetainedResults >= e.cfg.MaxRetained || e.finished <= e.cfg.MaxRetainedResults {
+		return // every retained job keeps its result
 	}
-	withResult := 0
-	for i := len(e.order) - 1; i >= 0; i-- {
-		j := e.jobs[e.order[i]]
-		if j == nil || !j.state.Terminal() {
-			continue
+	// Finished jobs from e.order[e.keepFrom] on keep their results, older
+	// ones have lost theirs. x is either older than all the keepers, or
+	// joins them and pushes the oldest one out.
+	drop := x
+	if x.seq >= e.order[e.keepFrom].seq {
+		for !e.order[e.keepFrom].state.Terminal() {
+			e.keepFrom++
 		}
-		if withResult < e.cfg.MaxRetainedResults {
-			withResult++
-			continue
-		}
-		j.mu.Lock()
-		j.result = nil
-		j.recorder = nil // the flight recorder ages out with the payload
-		j.mu.Unlock()
+		drop = e.order[e.keepFrom]
+		e.keepFrom++
 	}
+	drop.mu.Lock()
+	drop.result = nil
+	drop.recorder = nil // the flight recorder ages out with the payload
+	drop.mu.Unlock()
 }
 
 // Job looks up a registered job by id.
@@ -977,12 +980,7 @@ func (e *Engine) Cancel(id string) error {
 // List snapshots every registered job, newest first.
 func (e *Engine) List() []Info {
 	e.mu.Lock()
-	jobs := make([]*Job, 0, len(e.order))
-	for _, id := range e.order {
-		if j := e.jobs[id]; j != nil {
-			jobs = append(jobs, j)
-		}
-	}
+	jobs := slices.Clone(e.order)
 	e.mu.Unlock()
 	infos := make([]Info, len(jobs))
 	for i, j := range jobs {

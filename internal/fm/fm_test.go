@@ -5,6 +5,7 @@ import (
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/fm"
+	"fastlsa/internal/kernel"
 	"fastlsa/internal/memory"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
@@ -252,7 +253,7 @@ func TestScoreLocalMatchesAlignLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		score, endA, endB, err := fm.ScoreLocal(a, b, m, gap, nil)
+		score, endA, endB, err := kernel.New(m, kernel.FromGap(gap), nil, nil).LocalScore(a.Residues, b.Residues)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +277,7 @@ func TestScoreLocalAffineMatchesAlignLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		score, endA, endB, err := fm.ScoreLocal(a, b, m, gap, nil)
+		score, endA, endB, err := kernel.New(m, kernel.FromGap(gap), nil, nil).LocalScore(a.Residues, b.Residues)
 		if err != nil {
 			t.Fatal(err)
 		}

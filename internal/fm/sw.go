@@ -65,15 +65,3 @@ func AlignLocal(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget *
 		StartB: cc, EndB: bestC,
 	}, nil
 }
-
-// ScoreLocal computes only the optimal local alignment score (and its end
-// cell) in O(min(m,n)) space — the scan that database search uses to rank
-// candidates before reconstructing the few best alignments. Both gap models
-// are supported (one rolling row linear, two rolling rows affine).
-func ScoreLocal(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, c *stats.Counters) (score int64, endA, endB int, err error) {
-	if err := gap.Validate(); err != nil {
-		return 0, 0, 0, err
-	}
-	k := kernel.New(m, kernel.FromGap(gap), pool, c)
-	return k.LocalScore(a.Residues, b.Residues)
-}

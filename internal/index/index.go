@@ -40,6 +40,7 @@ package index
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"fastlsa/internal/fault"
 	"fastlsa/internal/scoring"
@@ -63,8 +64,8 @@ type posting struct {
 }
 
 // Index is an immutable q-gram inverted index over a sequence corpus. Build
-// once, probe concurrently: Candidates performs no writes to shared state,
-// so any number of goroutines may probe the same Index.
+// once, probe concurrently: each Candidates call draws its own accumulator
+// from counts, so any number of goroutines may probe the same Index.
 type Index struct {
 	q        int
 	alphabet *seq.Alphabet
@@ -75,6 +76,9 @@ type Index struct {
 	distinct int
 	postings int64
 	residues int64
+	// counts recycles *[]int32 shared-count accumulators, one entry per
+	// corpus sequence, handed back zeroed.
+	counts sync.Pool
 }
 
 // Build constructs the inverted index for db with gram length q. Every entry
@@ -346,12 +350,17 @@ func (ix *Index) Candidates(query *seq.Sequence, m *scoring.Matrix, gap scoring.
 
 	// Shared-gram accumulation: walk the query's gram multiset through the
 	// posting lists. The accumulator is per-call state, so concurrent
-	// probes never share writes.
+	// probes never share writes; the entry loop below zeroes it again.
 	qCounts := make(map[int]uint32, qlen)
 	gramCodes(query.Residues, ix.alphabet, ix.q, ix.powQ, func(code int) {
 		qCounts[code]++
 	})
-	shared := make([]int32, ix.Entries())
+	acc, _ := ix.counts.Get().(*[]int32)
+	if acc == nil {
+		acc = new([]int32)
+		*acc = make([]int32, ix.Entries())
+	}
+	shared := *acc
 	for code, qc := range qCounts {
 		for _, p := range ix.grams[code] {
 			c := p.count
@@ -363,20 +372,28 @@ func (ix *Index) Candidates(query *seq.Sequence, m *scoring.Matrix, gap scoring.
 	}
 
 	// Seed floor per entry length, memoised over the (few) distinct
-	// min(qlen, entryLen) values via a prefix-min over M.
+	// min(qlen, entryLen) values via a prefix-min over M. Runs of one length
+	// hit the last-value cache and skip the map.
 	memo := make(map[int]int, 8)
+	lastM, lastF := -1, 0
 	lookup := func(maxM int) int {
-		if f, ok := memo[maxM]; ok {
-			return f
+		if maxM == lastM {
+			return lastF
 		}
-		f := MinSharedGrams(ix.q, b, minScore, maxM)
-		memo[maxM] = f
+		f, ok := memo[maxM]
+		if !ok {
+			f = MinSharedGrams(ix.q, b, minScore, maxM)
+			memo[maxM] = f
+		}
+		lastM, lastF = maxM, f
 		return f
 	}
 	pr.SeedFloor = lookup(qlen)
 
 	cands := make([]Candidate, 0, 64)
 	for e := range ix.lens {
+		sh := int(shared[e])
+		shared[e] = 0
 		maxM := int(ix.lens[e])
 		if qlen < maxM {
 			maxM = qlen
@@ -385,7 +402,6 @@ func (ix *Index) Candidates(query *seq.Sequence, m *scoring.Matrix, gap scoring.
 			pr.PrunedShort++
 			continue
 		}
-		sh := int(shared[e])
 		if sh < lookup(maxM) {
 			pr.PrunedSeeds++
 			continue
@@ -397,6 +413,7 @@ func (ix *Index) Candidates(query *seq.Sequence, m *scoring.Matrix, gap scoring.
 		}
 		cands = append(cands, Candidate{Entry: e, Shared: sh, UpperBound: ub})
 	}
+	ix.counts.Put(acc) // zeroed by the loop; a panic above drops it instead
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].UpperBound != cands[j].UpperBound {
 			return cands[i].UpperBound > cands[j].UpperBound

@@ -3,11 +3,12 @@ package index_test
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
-	"fastlsa/internal/fm"
 	"fastlsa/internal/index"
+	"fastlsa/internal/kernel"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
 )
@@ -129,7 +130,7 @@ func TestLemmaLossless(t *testing.T) {
 			flank := seq.Random("", 40, seq.DNA, int64(5000+trial)).String()
 			entry = seq.MustNew("e", flank+core.String()+flank, seq.DNA)
 		}
-		score, _, _, err := fm.ScoreLocal(query, entry, scoring.DNASimple, gap, nil)
+		score, _, _, err := kernel.New(scoring.DNASimple, kernel.FromGap(gap), nil, nil).LocalScore(query.Residues, entry.Residues)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,22 +260,45 @@ func TestCorpusNewAndLoad(t *testing.T) {
 
 // TestConcurrentProbes pins the advertised concurrency contract: an Index
 // is immutable after Build, so concurrent Candidates calls must be
-// race-free (run under -race in the CI search-service job).
+// race-free (run under -race in the CI search-service job) and, although
+// they recycle shared-count accumulators, each must return exactly what the
+// first probe of a freshly built index returns.
 func TestConcurrentProbes(t *testing.T) {
 	db := make([]*seq.Sequence, 64)
 	for i := range db {
 		db[i] = seq.Random(fmt.Sprintf("s%d", i), 150+i, seq.DNA, int64(10+i))
 	}
 	ix := mustBuild(t, db, 8)
+	query := func(w, i int) *seq.Sequence {
+		return seq.Random("q", 100+((w*20+i)%80), seq.DNA, int64(w*1000+i))
+	}
+	type probed struct {
+		cands []index.Candidate
+		probe index.Probe
+	}
+	want := make([][]probed, 8)
+	for w := range want {
+		for i := 0; i < 20; i++ {
+			c, p, err := mustBuild(t, db, 8).Candidates(query(w, i), scoring.DNASimple, scoring.Linear(-12), int64(50+i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[w] = append(want[w], probed{c, p})
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				q := seq.Random("q", 100+((w*20+i)%80), seq.DNA, int64(w*1000+i))
-				if _, _, err := ix.Candidates(q, scoring.DNASimple, scoring.Linear(-12), int64(50+i)); err != nil {
+				c, p, err := ix.Candidates(query(w, i), scoring.DNASimple, scoring.Linear(-12), int64(50+i))
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(probed{c, p}, want[w][i]) {
+					t.Errorf("probe %d/%d: %+v %+v, fresh index %+v", w, i, c, p, want[w][i])
 					return
 				}
 			}

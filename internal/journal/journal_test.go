@@ -328,8 +328,8 @@ func FuzzJournalReplay(f *testing.F) {
 	segs, _ := segments(seedDir)
 	seed, _ := os.ReadFile(segs[0])
 	f.Add(seed, len(seed)/2)
-	f.Add(seed[:len(seed)-3], 0)       // torn tail
-	f.Add([]byte{}, 0)                 // empty
+	f.Add(seed[:len(seed)-3], 0)                         // torn tail
+	f.Add([]byte{}, 0)                                   // empty
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, 4) // absurd length
 	flipped := bytes.Clone(seed)
 	if len(flipped) > 20 {

@@ -31,12 +31,17 @@ import (
 	"fastlsa/internal/core"
 	"fastlsa/internal/fm"
 	"fastlsa/internal/index"
+	"fastlsa/internal/kernel"
+	"fastlsa/internal/memory"
 	"fastlsa/internal/obs"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
 	"fastlsa/internal/significance"
 	"fastlsa/internal/stats"
 )
+
+// rowPool recycles the verify scan's rolling rows across queries.
+var rowPool = memory.NewRowPool()
 
 // Hit is one database match.
 type Hit struct {
@@ -245,14 +250,17 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 	if workers < 1 {
 		workers = 1
 	}
+	// verified keeps the scan's end cell too: reconstruct starts from it.
 	type verified struct {
-		score    int64
-		evalue   float64
-		bits     float64
-		eligible bool
+		score      int64
+		endA, endB int
+		evalue     float64
+		bits       float64
+		eligible   bool
 	}
 	results := make([]verified, len(cands))
 	floor := &topKFloor{k: topK, onHit: opt.OnHit}
+	k := kernel.New(opt.Matrix, kernel.FromGap(gap), rowPool, opt.Counters)
 	var (
 		next     atomic.Int64
 		abandon  atomic.Bool // indexed scans: bound fell below the floor
@@ -298,13 +306,13 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 						return
 					}
 				}
-				s, _, _, err := fm.ScoreLocal(query, db[c.Entry], opt.Matrix, gap, opt.Counters)
+				s, endA, endB, err := k.LocalScore(query.Residues, db[c.Entry].Residues)
 				if err != nil {
 					setErr(c.Entry, fmt.Errorf("search: database entry %d: %w", c.Entry, err))
 					return
 				}
 				examined.Add(1)
-				v := verified{score: s}
+				v := verified{score: s, endA: endA, endB: endB}
 				if s > 0 && s >= opt.MinScore {
 					v.eligible = true
 					if opt.Stats != nil {
@@ -381,7 +389,8 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 		if err := opt.Counters.Cancelled(); err != nil {
 			return nil, err
 		}
-		loc, err := core.AlignLocal(query, db[hits[i].Index], opt.Matrix, gap, popt)
+		v := results[order[i]]
+		loc, err := core.AlignLocalFrom(query, db[hits[i].Index], opt.Matrix, gap, popt, v.score, v.endA, v.endB)
 		if err != nil {
 			return nil, fmt.Errorf("search: reconstructing hit %d (db %d): %w", i, hits[i].Index, err)
 		}

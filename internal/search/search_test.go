@@ -200,3 +200,37 @@ func TestQueryMinScore(t *testing.T) {
 		t.Fatalf("MinScore filter: %v", hits)
 	}
 }
+
+// TestQueryCellCount pins a search's exact DP work: one forward scan per
+// verified entry, then per reconstructed hit only the reverse scan over the
+// prefixes ending at the carried end cell and FastLSA's global solve of the
+// delimited substrings. A second forward scan per hit would add |q|·|entry|.
+func TestQueryCellCount(t *testing.T) {
+	query := seq.Random("query", 300, seq.DNA, 77)
+	db := buildDB(t, query, 12, 5)
+	opt := baseOpts()
+	opt.TopK = 3
+	var c stats.Counters
+	opt.Counters = &c
+	hits, err := search.Query(query, db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, e := range db {
+		want += int64(query.Len()) * int64(e.Len())
+	}
+	for _, h := range hits {
+		al := h.Alignment
+		want += int64(al.EndA) * int64(al.EndB)
+		var fc stats.Counters
+		subA, subB := query.Slice(al.StartA, al.EndA), db[h.Index].Slice(al.StartB, al.EndB)
+		if _, err := core.Align(subA, subB, opt.Matrix, opt.Gap, core.Options{Workers: 1, Counters: &fc}); err != nil {
+			t.Fatal(err)
+		}
+		want += fc.Cells.Load()
+	}
+	if got := c.Cells.Load(); got != want {
+		t.Fatalf("search computed %d cells, want %d (verify + reverse scans + FastLSA)", got, want)
+	}
+}

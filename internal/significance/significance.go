@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 
-	"fastlsa/internal/fm"
+	"fastlsa/internal/kernel"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
 	"fastlsa/internal/stats"
@@ -83,12 +83,13 @@ func Estimate(m *scoring.Matrix, gap scoring.Gap, opt Options) (Params, error) {
 	}
 
 	scores := make([]float64, samples)
+	scan := kernel.New(m, kernel.FromGap(gap), nil, opt.Counters)
 	for i := 0; i < samples; i++ {
 		a, b, err := randomPair(alphabet, opt.Frequencies, sampleLen, opt.Seed+int64(i)*2654435761)
 		if err != nil {
 			return Params{}, err
 		}
-		s, _, _, err := fm.ScoreLocal(a, b, m, gap, opt.Counters)
+		s, _, _, err := scan.LocalScore(a.Residues, b.Residues)
 		if err != nil {
 			return Params{}, err
 		}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"fastlsa/internal/fm"
+	"fastlsa/internal/kernel"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
 	"fastlsa/internal/significance"
@@ -159,6 +159,6 @@ func TestEmpiricalFalsePositiveRate(t *testing.T) {
 }
 
 func scoreLocal(a, b *seq.Sequence) (int64, error) {
-	s, _, _, err := fm.ScoreLocal(a, b, scoring.DNASimple, scoring.Linear(-12), nil)
+	s, _, _, err := kernel.New(scoring.DNASimple, kernel.FromGap(scoring.Linear(-12)), nil, nil).LocalScore(a.Residues, b.Residues)
 	return s, err
 }
