@@ -290,14 +290,6 @@ func BenchmarkE12_Variants(b *testing.B) {
 			}
 		}
 	})
-	b.Run("banded-adaptive", func(b *testing.B) {
-		opt := fastlsa.Options{Matrix: fastlsa.DNASimple, Gap: gap, Workers: 1}
-		for i := 0; i < b.N; i++ {
-			if _, err := fastlsa.AlignBanded(x, y, opt, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("fastlsa", func(b *testing.B) {
 		opt := fastlsa.Options{Matrix: fastlsa.DNASimple, Gap: gap, Algorithm: fastlsa.AlgoFastLSA, Workers: 1}
 		for i := 0; i < b.N; i++ {

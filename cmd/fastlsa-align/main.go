@@ -35,7 +35,7 @@ func main() {
 		budget     = flag.Int64("memory", 0, "memory budget in DPM entries, 8 bytes each (0 = unlimited)")
 		kParam     = flag.Int("k", 0, "FastLSA grid divisions per dimension (0 = default 8)")
 		baseCells  = flag.Int("base", 0, "FastLSA base-case buffer entries BM (0 = default 64Ki)")
-		band       = flag.Int("band", 0, "banded alignment: band width (-1 = adaptive, 0 = off)")
+		band       = flag.Int("band", 0, "banded alignment: band width (-1 = exact, runs FastLSA; 0 = off)")
 		local      = flag.Bool("local", false, "Smith-Waterman local alignment instead of global")
 		scoreOnly  = flag.Bool("score-only", false, "print only the optimal score (linear space)")
 		width      = flag.Int("width", 60, "alignment columns per output block")

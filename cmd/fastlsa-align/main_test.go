@@ -104,9 +104,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run("dna", "", "auto", "global", 4, 0, 0, 1, 0, 0, 0, 0, false, false, 60, false, "", []string{pair}); err == nil {
 		t.Fatal("positive gap must fail")
 	}
-	// Banded run succeeds end to end.
+	// A band of -1 (exact, FastLSA) succeeds end to end.
 	if err := run("dna", "", "auto", "global", -4, 0, 0, 1, 0, 0, 0, -1, false, false, 60, false, "", []string{pair}); err != nil {
-		t.Fatalf("adaptive banded run failed: %v", err)
+		t.Fatalf("band -1 run failed: %v", err)
 	}
 }
 

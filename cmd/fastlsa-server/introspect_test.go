@@ -58,9 +58,9 @@ func pollAttempts(t *testing.T, url string, n int, deadline time.Duration) {
 
 // degradedAlignBody builds an align request whose parallel fill cannot hold
 // its tile mesh inside the memory budget, so the run must take at least one
-// degradation-ladder step (mesh shrink or sequential-fill fallback). The
-// mesh lines on block boundaries are the grid cache's own, so only a u x v
-// > 1 x 1 subdivision costs memory: 8 workers ask for u = v = 2 at the
+// degradation-ladder step (a mesh shrink). The mesh lines on block
+// boundaries are the grid cache's own, so only a u x v > 1 x 1 subdivision
+// costs memory: 8 workers ask for u = v = 2 at the
 // default k = 8. The algorithm is explicit because an auto-routed FastLSA
 // run is planned against the budget and never needs to degrade; the
 // 100,000-entry budget holds the default base buffer and grid caches but
@@ -141,7 +141,7 @@ func TestJobEventsTimelineRetriedDegraded(t *testing.T) {
 	retry := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvRetry })
 	startN := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvStart && e.Attempt == attempts })
 	degrade := idx(func(e fastlsa.RecorderEvent) bool {
-		return e.Kind == obs.EvMeshShrink || e.Kind == obs.EvSeqFill
+		return e.Kind == obs.EvMeshShrink
 	})
 	route := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvRoute })
 	phase := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvPhase })
@@ -175,7 +175,7 @@ func TestJobEventsTimelineRetriedDegraded(t *testing.T) {
 	// every solver event sits after the final start.
 	for i, e := range ev.Events {
 		switch e.Kind {
-		case obs.EvPhase, obs.EvRoute, obs.EvMeshShrink, obs.EvSeqFill, obs.EvBudgetFallback:
+		case obs.EvPhase, obs.EvRoute, obs.EvMeshShrink, obs.EvBudgetFallback:
 			if i < startN {
 				t.Errorf("solver event %s at index %d precedes the final start (%d)", e.Kind, i, startN)
 			}

@@ -255,8 +255,8 @@ func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 
 // statsView is the GET /v1/stats reply: the engine's job counters at the top
 // level (flat, for compatibility) plus the service-wide alignment counters —
-// including the memory-degradation ones (mesh_shrinks, seq_fill_fallbacks,
-// planned_fill_tiles vs executed_fill_tiles) — under "alignment".
+// including the memory-degradation ones (mesh_shrinks, planned_fill_tiles vs
+// executed_fill_tiles) — under "alignment".
 type statsView struct {
 	fastlsa.EngineStats
 	Alignment fastlsa.CounterSnapshot `json:"alignment"`

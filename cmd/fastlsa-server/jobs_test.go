@@ -263,7 +263,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	// The degradation counters must be present (zero is fine: nothing was
 	// memory-constrained here).
-	for _, key := range []string{"mesh_shrinks", "seq_fill_fallbacks", "planned_fill_tiles", "executed_fill_tiles"} {
+	for _, key := range []string{"mesh_shrinks", "planned_fill_tiles", "executed_fill_tiles"} {
 		if _, ok := al[key]; !ok {
 			t.Fatalf("alignment stats lack %q: %v", key, al)
 		}

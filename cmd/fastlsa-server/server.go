@@ -133,8 +133,7 @@ type server struct {
 	// metrics accumulates the alignment work of every request served —
 	// each task derives a per-run child from it, so the shared value stays
 	// race-free while /v1/stats can report service-wide counters, the
-	// memory-degradation ones (mesh shrinks, sequential fill fallbacks)
-	// included.
+	// memory-degradation ones (mesh shrinks) included.
 	metrics *fastlsa.Counters
 	// reg is the Prometheus-style registry behind GET /metrics; httpm holds
 	// the per-route HTTP request counters and latency histograms.
@@ -441,9 +440,6 @@ func (s *server) registerMetrics() {
 	s.reg.CounterFunc("fastlsa_align_mesh_shrinks_total",
 		"Parallel fills that shrank their mesh to fit the memory budget.",
 		func() float64 { return float64(s.metrics.MeshShrinks.Load()) })
-	s.reg.CounterFunc("fastlsa_align_seq_fill_fallbacks_total",
-		"Parallel fills degraded to the sequential path by the memory budget.",
-		func() float64 { return float64(s.metrics.SeqFillFallbacks.Load()) })
 	s.reg.CounterFunc("fastlsa_align_checkpoint_saves_total",
 		"Grid-cache snapshots persisted through checkpoint sinks.",
 		func() float64 { return float64(s.metrics.CheckpointSaves.Load()) })

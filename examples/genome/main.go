@@ -71,10 +71,10 @@ func main() {
 	fmt.Printf("fill tiles: %d (wavefront phases %d/%d/%d)\n",
 		snap.FillTiles, snap.Phase1Tiles, snap.Phase2Tiles, snap.Phase3Tiles)
 	// Degradation report: under a tight budget the parallel fill shrinks its
-	// tile mesh (or falls back to the sequential block loop) instead of
-	// failing — these counters say how often that happened.
-	fmt.Printf("memory degradation: %d mesh shrinks, %d sequential-fill fallbacks, fill tiles planned/executed: %d/%d\n",
-		snap.MeshShrinks, snap.SeqFillFallbacks, snap.PlannedFillTiles, snap.ExecutedFillTiles)
+	// tile mesh instead of failing — these counters say how often that
+	// happened.
+	fmt.Printf("memory degradation: %d mesh shrinks, fill tiles planned/executed: %d/%d\n",
+		snap.MeshShrinks, snap.PlannedFillTiles, snap.ExecutedFillTiles)
 
 	// Where the time went, from the recorded spans: total tile-fill time per
 	// wavefront phase (Figure 13: ramp-up / saturated / ramp-down) plus the

@@ -672,23 +672,28 @@ func AlignMSA(seqs []*Sequence, opt Options) (*MSA, error) {
 // given diagonal band are evaluated (O((m+n)*band) time and space). The
 // result is the global optimum whenever the optimal path fits in the band
 // (guaranteed for band >= max(m, n)); otherwise it is the best alignment
-// confined to the band. band <= 0 selects the adaptive variant, which
-// widens the band until a counting bound on every path outside it falls
-// below the banded score, so its result is the global optimum (see
-// fm.AlignBandedAdaptive). Linear gap models only.
+// confined to the band. band <= 0 runs FastLSA instead, which is exact in
+// linear space. Linear gap models only.
 func AlignBanded(a, b *Sequence, opt Options, band int) (*Alignment, error) {
 	opt, err := opt.normalise()
 	if err != nil {
 		return nil, err
 	}
-	budget, err := opt.budget()
-	if err != nil {
-		return nil, err
+	if !opt.Gap.IsLinear() {
+		return nil, errors.New("fastlsa: AlignBanded: affine gaps not supported")
 	}
 	var res fm.Result
 	if band <= 0 {
-		res, _, err = fm.AlignBandedAdaptive(a, b, opt.Matrix, opt.Gap, 0, budget, opt.Counters)
+		copt, cerr := opt.coreOptions(a.Len(), b.Len())
+		if cerr != nil {
+			return nil, cerr
+		}
+		res, err = core.Align(a, b, opt.Matrix, opt.Gap, copt)
 	} else {
+		budget, berr := opt.budget()
+		if berr != nil {
+			return nil, berr
+		}
 		res, err = fm.AlignBanded(a, b, opt.Matrix, opt.Gap, band, budget, opt.Counters)
 	}
 	if err != nil {

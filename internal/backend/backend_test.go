@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"fastlsa/internal/backend"
-	"fastlsa/internal/scoring"
-	"fastlsa/internal/seq"
 )
 
 // TestRegistryShape pins the registration order and alias sets the facade's
@@ -67,31 +65,5 @@ func TestCapabilities(t *testing.T) {
 	}
 	if c := caps[backend.NameWFA]; c.EndsFree || !c.AffineGaps || !c.UniformScoresOnly {
 		t.Fatalf("wfa caps %+v", c)
-	}
-}
-
-// TestBackendsAgreeOnScore runs every registered backend on the same global
-// problem and requires one optimal score from all of them.
-func TestBackendsAgreeOnScore(t *testing.T) {
-	a, b, err := seq.HomologousPair(180, seq.DNA, seq.DefaultHomology, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := backend.Request{Matrix: scoring.DNASimple, Gap: scoring.Linear(-4), Workers: 1}
-	scores := map[string]int64{}
-	for _, info := range backend.All() {
-		res, err := info.Impl.Align(a, b, req)
-		if err != nil {
-			t.Fatalf("%s: %v", info.Name, err)
-		}
-		if err := res.Path.Validate(a.Len(), b.Len()); err != nil {
-			t.Fatalf("%s: %v", info.Name, err)
-		}
-		scores[info.Name] = res.Score
-	}
-	for name, s := range scores {
-		if s != scores[backend.NameFastLSA] {
-			t.Fatalf("scores disagree: %v (offender %s)", scores, name)
-		}
 	}
 }

@@ -225,8 +225,7 @@ func ExperimentMemSweep(w io.Writer, n int) error {
 		}
 		// Parallel series at the same budget: the planner charges the tile
 		// mesh, and whatever it could not foresee the runtime absorbs by
-		// shrinking the mesh or falling back to the sequential fill — the
-		// degrade column counts those events (shrinks+fallbacks).
+		// shrinking the mesh — the degrade column counts those shrinks.
 		popt, perr := core.SuggestOptions(a.Len(), b.Len(), budget, par)
 		parMS, parDegrade := "-", "-"
 		if perr == nil {
@@ -241,13 +240,13 @@ func ExperimentMemSweep(w io.Writer, n int) error {
 				return fmt.Errorf("budget=%d: parallel score %d != sequential %d", budget, pm.Score, m.Score)
 			}
 			parMS = fmt.Sprintf("%d", pm.Duration.Milliseconds())
-			parDegrade = fmt.Sprintf("%d+%d", pm.Stats.MeshShrinks, pm.Stats.SeqFillFallbacks)
+			parDegrade = fmt.Sprintf("%d", pm.Stats.MeshShrinks)
 		}
 		t.AddRow(budget, fmt.Sprintf("%.1f%%", 100*frac), fmState,
 			m.Duration.Milliseconds(), m.PeakMem, float64(m.Stats.Cells)/area, parMS, parDegrade)
 	}
 	t.AddNote("paper shape: FM becomes infeasible below 100%% of the matrix; FastLSA degrades gracefully to linear space")
-	t.AddNote("p4-degrade = mesh shrinks + sequential-fill fallbacks of the P=4 run; scores are checked equal to sequential")
+	t.AddNote("p4-degrade = mesh shrinks of the P=4 run; scores are checked equal to sequential")
 	return t.Fprint(w)
 }
 
@@ -421,7 +420,7 @@ func ExperimentBounds(w io.Writer) error {
 // ExperimentVariants (E12, extension ablation) compares the full-matrix
 // variants and accelerators this repository adds around the paper: the
 // score-matrix FM, the traceback-bit compact FM (§2.1's "three bits per
-// entry" remark), adaptive banded alignment, Hirschberg, and FastLSA — all
+// entry" remark), Hirschberg, and FastLSA — all
 // on the same pair, with time, cells and peak budgeted memory.
 func ExperimentVariants(w io.Writer, n int) error {
 	if n == 0 {
@@ -448,10 +447,6 @@ func ExperimentVariants(w io.Writer, n int) error {
 		}},
 		{"fm-compact (direction bits)", func(bg *memory.Budget, c *stats.Counters) (int64, error) {
 			r, err := fm.AlignCompact(a, b, wl.Matrix(), gap, bg, c)
-			return r.Score, err
-		}},
-		{"banded (adaptive)", func(bg *memory.Budget, c *stats.Counters) (int64, error) {
-			r, _, err := fm.AlignBandedAdaptive(a, b, wl.Matrix(), gap, 16, bg, c)
 			return r.Score, err
 		}},
 		{"hirschberg", func(bg *memory.Budget, c *stats.Counters) (int64, error) {

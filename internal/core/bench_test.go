@@ -72,7 +72,7 @@ func BenchmarkAlignAffineEngines(b *testing.B) {
 	b.Run("gotoh-fm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := fm.AlignAffine(x, y, m, gap, nil, nil); err != nil {
+			if _, err := fm.Align(x, y, m, gap, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -80,7 +80,7 @@ func BenchmarkAlignAffineEngines(b *testing.B) {
 	b.Run("myers-miller", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := hirschberg.AlignAffine(x, y, m, gap, hirschberg.Options{}, nil); err != nil {
+			if _, err := hirschberg.Align(x, y, m, gap, hirschberg.Options{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

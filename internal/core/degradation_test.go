@@ -14,8 +14,8 @@ import (
 
 // TestParallelDegradesUnderTightBudget is the regression test for the
 // ROADMAP repro: a parallel fill whose budget holds the grid cache but not
-// the requested tile mesh must complete — shrinking the mesh or falling back
-// to the sequential fill — with the byte-identical score and path of a
+// the requested tile mesh must complete — shrinking the mesh — with the
+// byte-identical score and path of a
 // sequential run, never memory.ErrExceeded.
 func TestParallelDegradesUnderTightBudget(t *testing.T) {
 	gap := scoring.Linear(-4)
@@ -63,7 +63,7 @@ func TestParallelDegradesUnderTightBudget(t *testing.T) {
 		t.Fatalf("degraded parallel result diverges: score %d, want %d", got.Score, want.Score)
 	}
 	s := c.Snapshot()
-	if s.MeshShrinks+s.SeqFillFallbacks == 0 {
+	if s.MeshShrinks == 0 {
 		t.Fatalf("expected at least one degradation event under a %d-entry budget: %+v", budgetEntries, s)
 	}
 	if s.ExecutedFillTiles > s.PlannedFillTiles {

@@ -26,14 +26,6 @@ func Align(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options) 
 	return alignModel(a, b, m, gap, kernel.FromGap(gap), opt)
 }
 
-// AlignAffine is Align forced onto the three-plane affine kernel even when
-// gap.Open == 0. Results are byte-identical to Align's for such degenerate
-// gaps (the equivalence the kernel package pins); the entry point is retained
-// for callers and benchmarks that want the affine recurrence unconditionally.
-func AlignAffine(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options) (Result, error) {
-	return alignModel(a, b, m, gap, kernel.Affine(int64(gap.Open), int64(gap.Extend)), opt)
-}
-
 func alignModel(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kernel.Model, opt Options) (Result, error) {
 	if err := gap.Validate(); err != nil {
 		return Result{}, err

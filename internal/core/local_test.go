@@ -7,43 +7,7 @@ import (
 	"fastlsa/internal/fm"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
-	"fastlsa/internal/testutil"
 )
-
-// TestAlignLocalMatchesSW compares the linear-space local alignment against
-// full-matrix Smith-Waterman on random problems.
-func TestAlignLocalMatchesSW(t *testing.T) {
-	gap := scoring.Linear(-3)
-	for seed := int64(0); seed < 20; seed++ {
-		la := int(seed*13%120) + 1
-		lb := int(seed*37%120) + 1
-		a, b := testutil.RandomPair(la, lb, seq.DNA, seed+700)
-		m := testutil.RandomMatrix(seq.DNA, seed+700)
-		want, err := fm.AlignLocal(a, b, m, gap, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.AlignLocal(a, b, m, gap, core.Options{K: 4, BaseCells: 64, Workers: 1})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if got.Score != want.Score {
-			t.Fatalf("seed %d: linear-space local %d, SW %d", seed, got.Score, want.Score)
-		}
-		if got.Score == 0 {
-			continue
-		}
-		// End cell tie-break matches full SW exactly.
-		if got.EndA != want.EndA || got.EndB != want.EndB {
-			t.Fatalf("seed %d: end (%d,%d), SW end (%d,%d)", seed, got.EndA, got.EndB, want.EndA, want.EndB)
-		}
-		subA := a.Slice(got.StartA, got.EndA)
-		subB := b.Slice(got.StartB, got.EndB)
-		if msg := testutil.CheckAlignment(subA, subB, got.Path, got.Score, m, gap); msg != "" {
-			t.Fatalf("seed %d: %s", seed, msg)
-		}
-	}
-}
 
 func TestAlignLocalHomologousCore(t *testing.T) {
 	gap := scoring.Linear(-4)
@@ -73,57 +37,6 @@ func TestAlignLocalNoPositive(t *testing.T) {
 	}
 	if res.Score != 0 || res.Path.Len() != 0 {
 		t.Fatalf("expected empty result, got %+v", res)
-	}
-}
-
-// TestAlignLocalAffineMatchesFM: the affine local path agrees with the
-// full-matrix Smith-Waterman-Gotoh reference on score and endpoints.
-func TestAlignLocalAffineMatchesFM(t *testing.T) {
-	gap := scoring.Affine(-5, -1)
-	for seed := int64(0); seed < 6; seed++ {
-		a, b := testutil.RandomPair(int(seed*11%70)+1, int(seed*17%65)+1, seq.DNA, seed+77)
-		m := testutil.RandomMatrix(seq.DNA, seed+77)
-		want, err := fm.AlignLocal(a, b, m, gap, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.AlignLocal(a, b, m, gap, core.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Score != want.Score {
-			t.Fatalf("seed %d: affine local score %d, fm %d", seed, got.Score, want.Score)
-		}
-		if got.Score > 0 && (got.EndA != want.EndA || got.EndB != want.EndB) {
-			t.Fatalf("seed %d: end (%d,%d), fm end (%d,%d)", seed, got.EndA, got.EndB, want.EndA, want.EndB)
-		}
-	}
-}
-
-func TestFMAlignParallelMatchesSequential(t *testing.T) {
-	gap := scoring.Linear(-4)
-	m := scoring.DNASimple
-	a, b := testutil.HomologousPair(400, seq.DNA, 15)
-	want, err := fm.Align(a, b, m, gap, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 7} {
-		got, err := fm.AlignParallel(a, b, m, gap, w, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Score != want.Score || !got.Path.Equal(want.Path) {
-			t.Fatalf("workers=%d: parallel FM diverges", w)
-		}
-	}
-	// workers=1 delegates to the sequential path.
-	got, err := fm.AlignParallel(a, b, m, gap, 1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Path.Equal(want.Path) {
-		t.Fatal("workers=1 delegate diverges")
 	}
 }
 

@@ -5,43 +5,10 @@ import (
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/core"
-	"fastlsa/internal/fm"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
 	"fastlsa/internal/testutil"
 )
-
-// TestAlignModeMatchesFM: the FastLSA ends-free engine must produce the
-// same score and byte-identical path as the full-matrix mode engine.
-func TestAlignModeMatchesFM(t *testing.T) {
-	gap := scoring.Linear(-4)
-	modes := []align.Mode{
-		align.Overlap, align.FitBInA, align.FitAInB,
-		{FreeStartA: true, FreeEndB: true},
-	}
-	for _, md := range modes {
-		for seed := int64(0); seed < 12; seed++ {
-			la := int(seed*13%150) + 1
-			lb := int(seed*29%150) + 1
-			a, b := testutil.RandomPair(la, lb, seq.DNA, seed+800)
-			m := testutil.RandomMatrix(seq.DNA, seed+800)
-			want, err := fm.AlignMode(a, b, m, gap, md, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.AlignMode(a, b, m, gap, md, core.Options{K: 4, BaseCells: 64, Workers: 1})
-			if err != nil {
-				t.Fatalf("%v seed %d: %v", md, seed, err)
-			}
-			if got.Score != want.Score {
-				t.Fatalf("%v seed %d (%dx%d): fastlsa %d, fm %d", md, seed, la, lb, got.Score, want.Score)
-			}
-			if !got.Path.Equal(want.Path) {
-				t.Fatalf("%v seed %d: paths differ:\nfastlsa %s\nfm      %s", md, seed, got.Path, want.Path)
-			}
-		}
-	}
-}
 
 func TestAlignModeOverlapAssembly(t *testing.T) {
 	// Fragment assembly: suffix of A overlaps prefix of B by 120 bases,
@@ -111,33 +78,5 @@ func TestAlignModeValidation(t *testing.T) {
 	}
 	if !got.Path.Equal(want.Path) {
 		t.Fatal("global mode must delegate")
-	}
-}
-
-// TestAlignModeAffineMatchesFM: the affine ends-free FastLSA engine matches
-// the affine full-matrix mode engine path-exactly.
-func TestAlignModeAffineMatchesFM(t *testing.T) {
-	gap := scoring.Affine(-9, -2)
-	for _, md := range []align.Mode{align.Overlap, align.FitBInA, align.FitAInB} {
-		for seed := int64(0); seed < 10; seed++ {
-			la := int(seed*17%120) + 1
-			lb := int(seed*23%120) + 1
-			a, b := testutil.RandomPair(la, lb, seq.DNA, seed+850)
-			m := testutil.RandomMatrix(seq.DNA, seed+850)
-			want, err := fm.AlignMode(a, b, m, gap, md, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := core.AlignMode(a, b, m, gap, md, core.Options{K: 4, BaseCells: 64, Workers: 1})
-			if err != nil {
-				t.Fatalf("%v seed %d: %v", md, seed, err)
-			}
-			if got.Score != want.Score {
-				t.Fatalf("%v seed %d (%dx%d): fastlsa %d, fm %d", md, seed, la, lb, got.Score, want.Score)
-			}
-			if !got.Path.Equal(want.Path) {
-				t.Fatalf("%v seed %d: affine mode paths differ:\nfastlsa %s\nfm      %s", md, seed, got.Path, want.Path)
-			}
-		}
 	}
 }

@@ -85,7 +85,7 @@ type Options struct {
 	// Obs is the run's instrumentation handle. Its Trace records spans for
 	// the general/base cases, grid fills, wavefront tiles (phase-tagged) and
 	// tracebacks; its Recorder receives phase completions and
-	// degradation-ladder steps (mesh shrinks, the sequential-fill fallback);
+	// degradation-ladder steps (mesh shrinks);
 	// each grid-fill, base-case and traceback phase is bracketed once
 	// through it (obs.Run.Phase). The zero value records no spans or events.
 	Obs obs.Run

@@ -17,17 +17,22 @@ func meshEntriesFor(lanes int64, k, R, C, rows, cols int) int64 {
 	return lanes * (int64(R-k)*int64(cols+1) + int64(C-k)*int64(rows+1))
 }
 
-// fitMesh shrinks a u x v block subdivision toward 1 x 1, the larger side
-// first, until its mesh fits in avail entries.
+// fitMesh shrinks a u x v block subdivision toward 1 x 1 until its mesh
+// fits in avail entries.
 func fitMesh(lanes int64, k, u, v, rows, cols int, avail int64) (int, int) {
 	for meshEntriesFor(lanes, k, k*u, k*v, rows, cols) > avail && (u > 1 || v > 1) {
-		if u >= v && u > 1 {
-			u--
-		} else {
-			v--
-		}
+		u, v = shrinkMesh(u, v)
 	}
 	return u, v
+}
+
+// shrinkMesh is one step toward the 1 x 1 subdivision, the larger side
+// first.
+func shrinkMesh(u, v int) (int, int) {
+	if u >= v && u > 1 {
+		return u - 1, v
+	}
+	return u, v - 1
 }
 
 // fillGridCacheParallel is the Parallel Fill Cache of §5 (Figure 13): the
@@ -45,10 +50,9 @@ func fitMesh(lanes int64, k, u, v, rows, cols int, avail int64) (int, int) {
 // than failing it ("FastLSA adapts to the amount of space available", §3):
 // the requested u x v subdivision is shrunk toward 1 x 1 until the mesh fits
 // what the budget has left. The 1 x 1 mesh (R = C = k) needs no interior
-// line; should even its empty reservation fail, the fill falls back to the
-// sequential block loop. Every such decision is recorded on the run's
-// counters (MeshShrinks, SeqFillFallbacks, PlannedFillTiles vs
-// ExecutedFillTiles).
+// line and reserves nothing, so the ladder always ends in a parallel fill.
+// Every such decision is recorded on the run's counters (MeshShrinks,
+// PlannedFillTiles vs ExecutedFillTiles).
 func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	t, k := grid.t, grid.k
 	rows, cols := t.rows(), t.cols()
@@ -65,26 +69,14 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 
 	// Fit the mesh to the budget: shrink the subdivision toward 1 x 1, then
 	// reserve. TryReserve (rather than trusting Available) keeps the plan
-	// honest when the budget is shared with concurrent runs — on a lost race
-	// the plan is recomputed against the fresh remainder.
-	u, v := uReq, vReq
-	var meshEntries int64
-	for {
-		u, v = fitMesh(lanes, k, u, v, rows, cols, s.opt.budget.Available())
+	// honest when the budget is shared with concurrent runs: a refused
+	// reservation shrinks the mesh one step and tries again, down to the
+	// 1 x 1 mesh, which costs nothing and is not reserved.
+	u, v := fitMesh(lanes, k, uReq, vReq, rows, cols, s.opt.budget.Available())
+	meshEntries := meshEntriesFor(lanes, k, k*u, k*v, rows, cols)
+	for meshEntries > 0 && !s.opt.budget.TryReserve(meshEntries) {
+		u, v = shrinkMesh(u, v)
 		meshEntries = meshEntriesFor(lanes, k, k*u, k*v, rows, cols)
-		if s.opt.budget.TryReserve(meshEntries) {
-			break
-		}
-		if u == 1 && v == 1 {
-			// Even the empty minimum mesh was refused (the reserve fault
-			// site): degrade to the sequential fill, which reserves nothing.
-			s.c.AddSeqFillFallback()
-			if s.opt.obs.Recorder != nil {
-				s.opt.obs.Recorder.Add(obs.Event{Kind: obs.EvSeqFill,
-					Detail: fmt.Sprintf("%dx%d mesh over budget", k*uReq, k*vReq)})
-			}
-			return s.fillGridCacheSeq(grid, 0)
-		}
 	}
 	if u != uReq || v != vReq {
 		s.c.AddMeshShrink()

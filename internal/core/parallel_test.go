@@ -104,9 +104,8 @@ func fillTestGrid(t *testing.T, a, b *seq.Sequence, gap scoring.Gap, k, u, v int
 		if want := int64(k*k - 1); tight && snap.ExecutedFillTiles != want {
 			t.Fatalf("tight budget executed %d tiles, want the %d of the 1x1 mesh", snap.ExecutedFillTiles, want)
 		}
-		if shrank := tight && (u > 1 || v > 1); (snap.MeshShrinks == 1) != shrank || snap.SeqFillFallbacks != 0 {
-			t.Fatalf("mesh shrinks %d, sequential fallbacks %d; want shrink=%t and no fallback",
-				snap.MeshShrinks, snap.SeqFillFallbacks, shrank)
+		if shrank := tight && (u > 1 || v > 1); (snap.MeshShrinks == 1) != shrank {
+			t.Fatalf("mesh shrinks %d, want shrink=%t", snap.MeshShrinks, shrank)
 		}
 	}
 	out := &gridCache{rows: make([]kernel.Edge, k), cols: make([]kernel.Edge, k)}

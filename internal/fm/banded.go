@@ -22,8 +22,7 @@ const NegInf = kernel.NegInf
 // if the optimal unrestricted path stays inside the band (always true for
 // band >= max(m, n)), the result is the global optimum; otherwise it is the
 // best alignment confined to the band — a lower bound on the optimum.
-// AlignBandedAdaptive widens the band until a counting bound proves the
-// result optimal. Linear gap models only.
+// Linear gap models only.
 func AlignBanded(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, band int, budget *memory.Budget, c *stats.Counters) (Result, error) {
 	if err := gap.Validate(); err != nil {
 		return Result{}, err
@@ -143,61 +142,4 @@ func AlignBanded(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, band in
 	}
 	c.AddTraceback(steps)
 	return Result{Score: score, Path: bld.Path()}, nil
-}
-
-// AlignBandedAdaptive runs AlignBanded with a growing band until a counting
-// bound proves the band holds every optimal path (Ukkonen 1985). A path that
-// leaves the band of half-width w crosses a diagonal w+1 beyond
-// [min(0, n-m), max(0, n-m)], so it has at least G = |n-m| + 2(w+1) gapped
-// positions and (m+n-G)/2 aligned pairs; its score is at most
-// Smax·(m+n-G)/2 + g·G. The banded score L is a valid alignment's score, a
-// lower bound on the optimum, so once that bound falls below L no optimal
-// path leaves the band and L is the optimum. Agreeing scores at two widths
-// prove nothing: a shifted repeat (a = R1+S, b = S+R2) puts the optimal
-// path on diagonal |R|, and every narrower band scores alike. Each step
-// doubles the band, never past the width the current L already proves
-// enough; a band of max(m, n) covers the whole matrix. startBand <= 0
-// selects 8.
-func AlignBandedAdaptive(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, startBand int, budget *memory.Budget, c *stats.Counters) (Result, int, error) {
-	if startBand <= 0 {
-		startBand = 8
-	}
-	maxDim := max(a.Len(), b.Len())
-	band := startBand
-	for {
-		res, err := AlignBanded(a, b, m, gap, band, budget, c)
-		if err != nil {
-			return Result{}, 0, err
-		}
-		need := provenBand(a.Len(), b.Len(), int64(m.Max()), int64(gap.Extend), res.Score)
-		if band >= need || band >= maxDim {
-			return res, band, nil
-		}
-		band = min(2*band, need, maxDim)
-	}
-}
-
-// provenBand returns the smallest half-width w such that every global path
-// leaving the band scores below score, for linear gap g < 0 and largest
-// substitution score smax (the bound of AlignBandedAdaptive).
-func provenBand(mlen, nlen int, smax, g, score int64) int {
-	d := int64(nlen - mlen)
-	if d < 0 {
-		d = -d
-	}
-	// Twice the bound, smax·(m+n) - slope·G, falls as G grows only while a
-	// gapped position costs more than half a pair earns.
-	slope := smax - 2*g
-	if slope <= 0 {
-		return max(mlen, nlen)
-	}
-	excess := smax*int64(mlen+nlen) - 2*score
-	if excess < 0 {
-		return 0
-	}
-	gmin := excess/slope + 1 // fewest gapped positions whose bound is < score
-	if gmin <= d+2 {
-		return 0
-	}
-	return int((gmin-d+1)/2 - 1) // G = d + 2(w+1) >= gmin
 }

@@ -12,29 +12,6 @@ import (
 	"fastlsa/internal/testutil"
 )
 
-// TestBandedWideEqualsFull: a band covering the whole matrix reproduces the
-// unrestricted optimum, path-exactly.
-func TestBandedWideEqualsFull(t *testing.T) {
-	gap := scoring.Linear(-3)
-	for seed := int64(0); seed < 15; seed++ {
-		la := int(seed*7%40) + 1
-		lb := int(seed*11%40) + 1
-		a, b := testutil.RandomPair(la, lb, seq.DNA, seed+920)
-		m := testutil.RandomMatrix(seq.DNA, seed+920)
-		want, err := fm.Align(a, b, m, gap, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fm.AlignBanded(a, b, m, gap, la+lb, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Score != want.Score || !got.Path.Equal(want.Path) {
-			t.Fatalf("seed %d: wide band diverges (%d vs %d)", seed, got.Score, want.Score)
-		}
-	}
-}
-
 // TestBandedIsLowerBound: any band's score never exceeds the unrestricted
 // optimum, and the returned path rescores to the reported score.
 func TestBandedIsLowerBound(t *testing.T) {
@@ -90,26 +67,6 @@ func TestBandedHomologousSmallBand(t *testing.T) {
 	}
 }
 
-func TestBandedAdaptive(t *testing.T) {
-	a, b := testutil.HomologousPair(400, seq.DNA, 932)
-	gap := scoring.Linear(-4)
-	m := scoring.DNASimple
-	full, err := fm.Align(a, b, m, gap, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, band, err := fm.AlignBandedAdaptive(a, b, m, gap, 4, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Score != full.Score {
-		t.Fatalf("adaptive (band %d): %d, full %d", band, res.Score, full.Score)
-	}
-	if band >= 400 {
-		t.Fatalf("adaptive band %d did not converge early", band)
-	}
-}
-
 func TestBandedValidation(t *testing.T) {
 	a, b := testutil.RandomPair(5, 5, seq.DNA, 1)
 	if _, err := fm.AlignBanded(a, b, scoring.DNASimple, scoring.Linear(-4), -1, nil, nil); err == nil {
@@ -158,37 +115,4 @@ func TestBandedBudget(t *testing.T) {
 func newBudget(t *testing.T, n int64) (*memory.Budget, error) {
 	t.Helper()
 	return memory.NewBudget(n)
-}
-
-// TestBandedAdaptiveExact: the adaptive band returns the full-matrix optimum
-// on random, unequal-length and shifted-repeat (a = R1+S, b = S+R2) pairs,
-// across matrices, gap costs and start bands.
-func TestBandedAdaptiveExact(t *testing.T) {
-	for seed := int64(0); seed < 120; seed++ {
-		alpha, m := seq.DNA, scoring.DNASimple
-		if seed%3 == 0 {
-			alpha, m = seq.Protein, scoring.BLOSUM62
-		}
-		gap := scoring.Linear(-1 - int(seed%8))
-		r1 := seq.Random("r1", int(seed%23), alpha, seed)
-		s := seq.Random("s", 20+int(seed*13%90), alpha, seed+1000)
-		r2 := seq.Random("r2", int(seed*7%29), alpha, seed+2000)
-		a, b := r1, s
-		if seed%2 == 0 {
-			a = &seq.Sequence{ID: "a", Alphabet: alpha, Residues: append(append([]byte{}, r1.Residues...), s.Residues...)}
-			b = &seq.Sequence{ID: "b", Alphabet: alpha, Residues: append(append([]byte{}, s.Residues...), r2.Residues...)}
-		}
-		full, err := fm.Align(a, b, m, gap, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, band, err := fm.AlignBandedAdaptive(a, b, m, gap, 1+int(seed%8), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Score != full.Score {
-			t.Fatalf("seed %d (%dx%d, %s, gap %d): adaptive band %d scored %d, full %d",
-				seed, a.Len(), b.Len(), m.Name, gap.Extend, band, res.Score, full.Score)
-		}
-	}
 }

@@ -11,31 +11,6 @@ import (
 	"fastlsa/internal/testutil"
 )
 
-// TestAlignCompactIdenticalToAlign: the traceback-bit variant (paper §2.1)
-// must return the same score and byte-identical path as the score-matrix
-// variant.
-func TestAlignCompactIdenticalToAlign(t *testing.T) {
-	gap := scoring.Linear(-3)
-	for seed := int64(0); seed < 25; seed++ {
-		la := int(seed*7%60) + 1
-		lb := int(seed*19%60) + 1
-		a, b := testutil.RandomPair(la, lb, seq.DNA, seed+400)
-		m := testutil.RandomMatrix(seq.DNA, seed+400)
-		want, err := fm.Align(a, b, m, gap, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fm.AlignCompact(a, b, m, gap, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Score != want.Score || !got.Path.Equal(want.Path) {
-			t.Fatalf("seed %d: compact diverges (score %d vs %d, path %s vs %s)",
-				seed, got.Score, want.Score, got.Path, want.Path)
-		}
-	}
-}
-
 // TestAlignCompactBudget: the compact variant must fit in roughly 1/8 the
 // budget of the score-matrix variant.
 func TestAlignCompactBudget(t *testing.T) {

@@ -48,18 +48,6 @@ func Align(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget *memor
 	return alignModel(a, b, m, kernel.FromGap(gap), budget, c)
 }
 
-// AlignAffine computes the optimal global alignment under an affine (Gotoh)
-// gap model: a gap of length L costs Open + L*Extend. Unlike Align it always
-// runs the three-plane recurrence, even for Open == 0 — for which it returns
-// byte-identical results to the linear path (the degeneration pinned by the
-// kernel's equivalence property test).
-func AlignAffine(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget *memory.Budget, c *stats.Counters) (Result, error) {
-	if err := gap.Validate(); err != nil {
-		return Result{}, err
-	}
-	return alignModel(a, b, m, kernel.Affine(int64(gap.Open), int64(gap.Extend)), budget, c)
-}
-
 // alignModel is the gap-generic full-matrix engine: fill the stored planes
 // from leading-gap boundaries, trace back from (m, n), and extend along the
 // boundary to (0,0).
@@ -97,7 +85,7 @@ func alignModel(a, b *seq.Sequence, m *scoring.Matrix, mod kernel.Model, budget 
 
 // Score computes only the optimal global score, still using the full matrix
 // (FindScore phase of the FM algorithm). Exposed for tests comparing phase
-// costs; prefer lastrow.Score for linear-space scoring.
+// costs; prefer hirschberg.Score for linear-space scoring.
 func Score(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget *memory.Budget, c *stats.Counters) (int64, error) {
 	res, err := Align(a, b, m, gap, budget, c)
 	if err != nil {

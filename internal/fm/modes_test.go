@@ -90,39 +90,6 @@ func TestAlignModeFit(t *testing.T) {
 	}
 }
 
-func TestAlignModeGlobalDelegates(t *testing.T) {
-	a, b := testutil.RandomPair(20, 25, seq.DNA, 614)
-	m := scoring.DNASimple
-	gap := scoring.Linear(-4)
-	want, err := fm.Align(a, b, m, gap, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fm.AlignMode(a, b, m, gap, align.Global, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Path.Equal(want.Path) || got.Score != want.Score {
-		t.Fatal("global mode must delegate to Align")
-	}
-}
-
-func TestAlignModeAffineGlobalDelegates(t *testing.T) {
-	a, b := testutil.RandomPair(15, 18, seq.DNA, 1)
-	gap := scoring.Affine(-5, -1)
-	want, err := fm.AlignAffine(a, b, scoring.DNASimple, gap, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fm.AlignMode(a, b, scoring.DNASimple, gap, align.Global, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Score != want.Score || !got.Path.Equal(want.Path) {
-		t.Fatal("global affine mode must delegate to AlignAffine")
-	}
-}
-
 func TestModeParsingAndString(t *testing.T) {
 	for name, want := range map[string]align.Mode{
 		"global": align.Global, "": align.Global,

@@ -76,13 +76,6 @@ func Align(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options, 
 	return fm.Result{Score: score, Path: path}, nil
 }
 
-// AlignAffine is Align under an affine gap model (Myers & Miller's
-// adaptation of Hirschberg's scheme). Retained as a named entry point; it is
-// the same unified solver.
-func AlignAffine(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options, c *stats.Counters) (fm.Result, error) {
-	return Align(a, b, m, gap, opt, c)
-}
-
 // Score computes only the optimal score in O(min(m,n)) space (one kernel
 // sweep; no recursion), for either gap model.
 func Score(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, c *stats.Counters) (int64, error) {

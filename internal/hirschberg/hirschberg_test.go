@@ -2,9 +2,7 @@ package hirschberg_test
 
 import (
 	"testing"
-	"testing/quick"
 
-	"fastlsa/internal/fm"
 	"fastlsa/internal/hirschberg"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
@@ -25,105 +23,6 @@ func TestFigure1(t *testing.T) {
 	}
 }
 
-// TestMatchesFM verifies score equality with the full-matrix ground truth
-// over random problems at several base-case thresholds, including BaseCells=1
-// (full recursion down to single rows).
-func TestMatchesFM(t *testing.T) {
-	gap := scoring.Linear(-3)
-	for _, base := range []int{1, 16, 4096} {
-		for seed := int64(0); seed < 25; seed++ {
-			la := int(seed*13%40) + 1
-			lb := int(seed*29%40) + 1
-			a, b := testutil.RandomPair(la, lb, seq.DNA, seed)
-			m := testutil.RandomMatrix(seq.DNA, seed)
-			want, err := fm.Align(a, b, m, gap, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := hirschberg.Align(a, b, m, gap, hirschberg.Options{BaseCells: base}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Score != want.Score {
-				t.Fatalf("base=%d seed=%d (%dx%d): hirschberg %d, fm %d", base, seed, la, lb, got.Score, want.Score)
-			}
-			if msg := testutil.CheckAlignment(a, b, got.Path, got.Score, m, gap); msg != "" {
-				t.Fatalf("base=%d seed=%d: %s", base, seed, msg)
-			}
-		}
-	}
-}
-
-// TestMatchesFMQuick is a testing/quick property: for arbitrary short DNA
-// strings, Hirschberg and FM agree on the optimal score.
-func TestMatchesFMQuick(t *testing.T) {
-	gap := scoring.Linear(-2)
-	m := scoring.DNASimple
-	letters := []byte("ACGT")
-	f := func(xa, xb []uint8) bool {
-		if len(xa) > 64 {
-			xa = xa[:64]
-		}
-		if len(xb) > 64 {
-			xb = xb[:64]
-		}
-		ra := make([]byte, len(xa))
-		for i, v := range xa {
-			ra[i] = letters[int(v)%4]
-		}
-		rb := make([]byte, len(xb))
-		for i, v := range xb {
-			rb[i] = letters[int(v)%4]
-		}
-		a := seq.MustNew("a", string(ra), seq.DNA)
-		b := seq.MustNew("b", string(rb), seq.DNA)
-		want, err := fm.Align(a, b, m, gap, nil, nil)
-		if err != nil {
-			return false
-		}
-		got, err := hirschberg.Align(a, b, m, gap, hirschberg.Options{BaseCells: 64}, nil)
-		if err != nil {
-			return false
-		}
-		return got.Score == want.Score &&
-			testutil.CheckAlignment(a, b, got.Path, got.Score, m, gap) == ""
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAffineMatchesFM verifies the Myers-Miller extension against the Gotoh
-// full-matrix algorithm.
-func TestAffineMatchesFM(t *testing.T) {
-	for _, gap := range []scoring.Gap{
-		scoring.Affine(-8, -1),
-		scoring.Affine(-4, -3),
-		scoring.Affine(-1, -1),
-	} {
-		for seed := int64(0); seed < 25; seed++ {
-			la := int(seed*11%35) + 1
-			lb := int(seed*23%35) + 1
-			a, b := testutil.RandomPair(la, lb, seq.Protein, seed+500)
-			m := testutil.RandomMatrix(seq.Protein, seed+500)
-			want, err := fm.AlignAffine(a, b, m, gap, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := hirschberg.Align(a, b, m, gap, hirschberg.Options{}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Score != want.Score {
-				t.Fatalf("gap=%v seed=%d (%dx%d): myers-miller %d, gotoh %d", gap, seed, la, lb, got.Score, want.Score)
-			}
-			if msg := testutil.CheckAlignment(a, b, got.Path, got.Score, m, gap); msg != "" {
-				t.Fatalf("gap=%v seed=%d: %s", gap, seed, msg)
-			}
-		}
-	}
-}
-
 // TestRecomputationFactor checks the §2.2 claim: Hirschberg performs
 // approximately twice the cell computations of the FM algorithm.
 func TestRecomputationFactor(t *testing.T) {
@@ -138,42 +37,5 @@ func TestRecomputationFactor(t *testing.T) {
 	}
 	if f < 1.5 {
 		t.Fatalf("recomputation factor %.3f suspiciously low for Hirschberg (expect ~2)", f)
-	}
-}
-
-func TestScoreOnly(t *testing.T) {
-	a, b := testutil.HomologousPair(300, seq.Protein, 10)
-	m := scoring.BLOSUM62
-	for _, gap := range []scoring.Gap{scoring.Linear(-5), scoring.Affine(-10, -1)} {
-		want, err := fm.Align(a, b, m, gap, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := hirschberg.Score(a, b, m, gap, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want.Score {
-			t.Fatalf("gap=%v: Score()=%d, Align()=%d", gap, got, want.Score)
-		}
-	}
-}
-
-func TestEmptyInputs(t *testing.T) {
-	empty := seq.MustNew("e", "", seq.DNA)
-	b := seq.MustNew("b", "ACGTAC", seq.DNA)
-	res, err := hirschberg.Align(empty, b, scoring.DNAStrict, scoring.Linear(-1), hirschberg.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Score != -6 || res.Path.String() != "LLLLLL" {
-		t.Fatalf("got score %d path %q", res.Score, res.Path)
-	}
-	res, err = hirschberg.Align(b, empty, scoring.DNAStrict, scoring.Linear(-1), hirschberg.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Score != -6 || res.Path.String() != "UUUUUU" {
-		t.Fatalf("got score %d path %q", res.Score, res.Path)
 	}
 }

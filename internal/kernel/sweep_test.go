@@ -11,8 +11,8 @@ import (
 )
 
 // TestForwardAffineMatchesGotoh compares the O(n)-space affine sweep's output
-// row against full Gotoh solves of every prefix (fm.AlignAffine is the
-// reference).
+// row against full Gotoh solves of every prefix (fm.Align under the affine
+// gap is the reference).
 func TestForwardAffineMatchesGotoh(t *testing.T) {
 	open, ext := int64(-7), int64(-2)
 	gap := scoring.Gap{Open: int(open), Extend: int(ext)}
@@ -28,7 +28,7 @@ func TestForwardAffineMatchesGotoh(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 1; j <= b.Len(); j++ {
-			want, err := fm.AlignAffine(a, b.Slice(0, j), m, gap, nil, nil)
+			want, err := fm.Align(a, b.Slice(0, j), m, gap, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

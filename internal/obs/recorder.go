@@ -31,9 +31,6 @@ const (
 	// tile mesh under memory pressure. Detail is "UxV->uxv" (requested ->
 	// granted subdivision).
 	EvMeshShrink = "degrade.mesh-shrink"
-	// EvSeqFill marks the final rung of the degradation ladder: the parallel
-	// fill fell back to the sequential fill.
-	EvSeqFill = "degrade.seq-fill"
 	// EvRoute records the aligner-backend routing decision. Detail is the
 	// backend, Extra the reason, Value the q-gram identity estimate when one
 	// was computed (0 otherwise).

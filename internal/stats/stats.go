@@ -34,14 +34,10 @@ type Counters struct {
 	// MeshShrinks counts parallel fills whose transient tile mesh was shrunk
 	// below the requested (u, v) subdivision to fit the memory budget.
 	MeshShrinks atomic.Int64
-	// SeqFillFallbacks counts parallel fills that degraded all the way to the
-	// sequential fill because even the minimum k-aligned mesh, which costs
-	// no entries, could not be reserved.
-	SeqFillFallbacks atomic.Int64
 	// PlannedFillTiles and ExecutedFillTiles compare the tile grid the
 	// requested (u, v) subdivision would have run against the grid that
-	// actually ran after budget-driven shrinking (0 executed on a sequential
-	// fallback). Equal values mean no fill was degraded.
+	// actually ran after budget-driven shrinking. Equal values mean no fill
+	// was degraded.
 	PlannedFillTiles, ExecutedFillTiles atomic.Int64
 	// SearchScanned counts database entries considered by corpus searches
 	// (the index probe's scan, or every entry on a brute-force scan).
@@ -209,14 +205,6 @@ func (c *Counters) AddMeshShrink() {
 	}
 }
 
-// AddSeqFillFallback records one parallel fill degraded to the sequential
-// path.
-func (c *Counters) AddSeqFillFallback() {
-	for ; c != nil; c = c.parent {
-		c.SeqFillFallbacks.Add(1)
-	}
-}
-
 // AddPlannedFillTiles records the tile count of the requested tiling.
 func (c *Counters) AddPlannedFillTiles(n int64) {
 	for ; c != nil; c = c.parent {
@@ -300,7 +288,6 @@ type Snapshot struct {
 	Phase2Tiles        int64 `json:"phase2_tiles"`
 	Phase3Tiles        int64 `json:"phase3_tiles"`
 	MeshShrinks        int64 `json:"mesh_shrinks"`
-	SeqFillFallbacks   int64 `json:"seq_fill_fallbacks"`
 	PlannedFillTiles   int64 `json:"planned_fill_tiles"`
 	ExecutedFillTiles  int64 `json:"executed_fill_tiles"`
 	SearchScanned      int64 `json:"search_scanned"`
@@ -326,7 +313,6 @@ func (c *Counters) Snapshot() Snapshot {
 		Phase2Tiles:        c.Phase2Tiles.Load(),
 		Phase3Tiles:        c.Phase3Tiles.Load(),
 		MeshShrinks:        c.MeshShrinks.Load(),
-		SeqFillFallbacks:   c.SeqFillFallbacks.Load(),
 		PlannedFillTiles:   c.PlannedFillTiles.Load(),
 		ExecutedFillTiles:  c.ExecutedFillTiles.Load(),
 		SearchScanned:      c.SearchScanned.Load(),
@@ -339,10 +325,10 @@ func (c *Counters) Snapshot() Snapshot {
 
 // String implements fmt.Stringer.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("cells=%d trace=%d base=%d general=%d tiles=%d(p1=%d p2=%d p3=%d planned=%d ran=%d) peakGrid=%d shrinks=%d seqFalls=%d search=%d/%d/%d",
+	return fmt.Sprintf("cells=%d trace=%d base=%d general=%d tiles=%d(p1=%d p2=%d p3=%d planned=%d ran=%d) peakGrid=%d shrinks=%d search=%d/%d/%d",
 		s.Cells, s.TracebackSteps, s.BaseCases, s.GeneralCases,
 		s.FillTiles, s.Phase1Tiles, s.Phase2Tiles, s.Phase3Tiles,
 		s.PlannedFillTiles, s.ExecutedFillTiles, s.PeakGridEntries,
-		s.MeshShrinks, s.SeqFillFallbacks,
+		s.MeshShrinks,
 		s.SearchScanned, s.SearchCandidates, s.SearchExamined)
 }

@@ -130,13 +130,13 @@ func TestFacadeBanded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Adaptive banding is always exact.
+	// Band 0 runs FastLSA, which is exact.
 	banded, err := fastlsa.AlignBanded(x, y, opt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if banded.Score != full.Score {
-		t.Fatalf("adaptive banded %d != full %d", banded.Score, full.Score)
+		t.Fatalf("band 0 %d != full %d", banded.Score, full.Score)
 	}
 	// A fixed wide band is exact too.
 	banded, err = fastlsa.AlignBanded(x, y, opt, 500)
@@ -149,9 +149,8 @@ func TestFacadeBanded(t *testing.T) {
 }
 
 // TestFacadeBandedShiftedRepeat: a = R1+S, b = S+R2 puts the optimal path
-// on diagonal |R| = 49, outside any band narrow enough to converge by
-// score alone (two widths can agree on a sub-optimal score). The adaptive
-// band must still return the optimum.
+// on diagonal |R| = 49, outside any narrow band around the main diagonal.
+// AlignBanded(…, 0) must still return the optimum.
 func TestFacadeBandedShiftedRepeat(t *testing.T) {
 	matrix, err := fastlsa.MatrixByName("dna")
 	if err != nil {
@@ -179,7 +178,7 @@ func TestFacadeBandedShiftedRepeat(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Score != want {
-			t.Errorf("seed %d: adaptive banded score %d, optimum %d", seed, got.Score, want)
+			t.Errorf("seed %d: band 0 score %d, optimum %d", seed, got.Score, want)
 		}
 	}
 }
