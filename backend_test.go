@@ -76,7 +76,7 @@ func TestBackendRegistryEquivalence(t *testing.T) {
 			return fm.Align(a, b, matrix, gap, nil, nil)
 		},
 		fastlsa.AlgoHirschberg: func() (fm.Result, error) {
-			return hirschberg.Align(a, b, matrix, gap, hirschberg.Options{}, nil)
+			return hirschberg.Align(a, b, matrix, gap, hirschberg.Options{}, nil, nil)
 		},
 		fastlsa.AlgoCompact: func() (fm.Result, error) {
 			return fm.AlignCompact(a, b, matrix, gap, nil, nil)

@@ -75,7 +75,7 @@ func BenchmarkE2_OpCounts(b *testing.B) {
 				if m.Err != nil {
 					b.Fatal(m.Err)
 				}
-				cells = m.Stats.Cells
+				cells = m.Stats[stats.Cells]
 			}
 			b.ReportMetric(float64(cells), "cells/op")
 			b.ReportMetric(float64(cells)/area, "recompute-factor")
@@ -132,7 +132,7 @@ func BenchmarkE5_KSweep(b *testing.B) {
 				if m.Err != nil {
 					b.Fatal(m.Err)
 				}
-				cells = m.Stats.Cells
+				cells = m.Stats[stats.Cells]
 			}
 			b.ReportMetric(float64(cells)/area, "recompute-factor")
 		})
@@ -225,9 +225,9 @@ func BenchmarkE9_TileSweep(b *testing.B) {
 				}
 				snap = m.Stats
 			}
-			total := snap.Phase1Tiles + snap.Phase2Tiles + snap.Phase3Tiles
+			total := snap[stats.Phase1Tiles] + snap[stats.Phase2Tiles] + snap[stats.Phase3Tiles]
 			if total > 0 {
-				b.ReportMetric(float64(snap.Phase2Tiles)/float64(total), "phase2-fraction")
+				b.ReportMetric(float64(snap[stats.Phase2Tiles])/float64(total), "phase2-fraction")
 			}
 			b.ReportMetric(bench.TheoremAlpha(p, k*u, k*v), "alpha-bound")
 		})

@@ -71,8 +71,7 @@ func TestAutoParallelTightBudget(t *testing.T) {
 	if got.Score != want.Score {
 		t.Fatalf("parallel score %d != sequential %d", got.Score, want.Score)
 	}
-	snap := c.Snapshot()
-	if snap.PlannedFillTiles == 0 {
-		t.Fatalf("no parallel fill was planned (counters: %+v)", snap)
+	if c.PlannedFillTiles.Load() == 0 {
+		t.Fatalf("no parallel fill was planned (counters: %v)", c.Snapshot())
 	}
 }

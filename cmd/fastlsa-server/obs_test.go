@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -488,4 +490,74 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
 	return lw.w.Write(p)
+}
+
+// metricTypes fetches /metrics and returns each family's # TYPE.
+func metricTypes(t *testing.T, url string) map[string]string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := make(map[string]string)
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+	}
+	return types
+}
+
+// TestCounterOutputsPinned pins what the counter table exports: the keys of
+// the /v1/stats alignment object and the alignment and search families on
+// /metrics, with their types.
+func TestCounterOutputsPinned(t *testing.T) {
+	srv := testServer(t)
+	_, out := postJSONGet(t, srv.URL+"/v1/stats")
+	var keys []string
+	for k := range out["alignment"].(map[string]any) {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	wantKeys := []string{
+		"base_cases", "cells", "checkpoint_restores", "checkpoint_saves",
+		"executed_fill_tiles", "fill_tiles", "general_cases", "mesh_shrinks",
+		"peak_grid_entries", "phase1_tiles", "phase2_tiles", "phase3_tiles",
+		"planned_fill_tiles", "search_candidates", "search_examined",
+		"search_scanned", "traceback_steps",
+	}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("alignment keys %v, want %v", keys, wantKeys)
+	}
+
+	families := make(map[string]string)
+	for name, typ := range metricTypes(t, srv.URL) {
+		if strings.HasPrefix(name, "fastlsa_align_") || strings.HasPrefix(name, "fastlsa_search_") {
+			families[name] = typ
+		}
+	}
+	wantFamilies := map[string]string{
+		"fastlsa_align_cells_total":               "counter",
+		"fastlsa_align_traceback_steps_total":     "counter",
+		"fastlsa_align_base_cases_total":          "counter",
+		"fastlsa_align_general_cases_total":       "counter",
+		"fastlsa_align_fill_tiles_total":          "counter",
+		"fastlsa_align_mesh_shrinks_total":        "counter",
+		"fastlsa_align_checkpoint_saves_total":    "counter",
+		"fastlsa_align_checkpoint_restores_total": "counter",
+		"fastlsa_align_peak_grid_entries":         "gauge",
+		"fastlsa_align_cells_per_second":          "gauge",
+		"fastlsa_search_scanned_total":            "counter",
+		"fastlsa_search_candidates_total":         "counter",
+		"fastlsa_search_examined_total":           "counter",
+		"fastlsa_search_rate_limited_total":       "counter",
+	}
+	if !reflect.DeepEqual(families, wantFamilies) {
+		t.Errorf("families %v, want %v", families, wantFamilies)
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"fastlsa"
 	"fastlsa/internal/journal"
 	"fastlsa/internal/obs"
+	"fastlsa/internal/stats"
 )
 
 // serverConfig bounds the service.
@@ -422,42 +423,19 @@ func (s *server) registerMetrics() {
 			func() float64 { return float64(s.journal.Stats().Segments) })
 	}
 
-	s.reg.CounterFunc("fastlsa_align_cells_total",
-		"DP matrix cells computed across all requests.",
-		func() float64 { return float64(s.metrics.Cells.Load()) })
-	s.reg.CounterFunc("fastlsa_align_traceback_steps_total",
-		"Traceback steps walked across all requests.",
-		func() float64 { return float64(s.metrics.TracebackSteps.Load()) })
-	s.reg.CounterFunc("fastlsa_align_base_cases_total",
-		"FastLSA recursions solved directly in the base-case buffer.",
-		func() float64 { return float64(s.metrics.BaseCases.Load()) })
-	s.reg.CounterFunc("fastlsa_align_general_cases_total",
-		"FastLSA recursions that split into a grid of subproblems.",
-		func() float64 { return float64(s.metrics.GeneralCases.Load()) })
-	s.reg.CounterFunc("fastlsa_align_fill_tiles_total",
-		"Wavefront tiles filled by the parallel grid fill.",
-		func() float64 { return float64(s.metrics.FillTiles.Load()) })
-	s.reg.CounterFunc("fastlsa_align_mesh_shrinks_total",
-		"Parallel fills that shrank their mesh to fit the memory budget.",
-		func() float64 { return float64(s.metrics.MeshShrinks.Load()) })
-	s.reg.CounterFunc("fastlsa_align_checkpoint_saves_total",
-		"Grid-cache snapshots persisted through checkpoint sinks.",
-		func() float64 { return float64(s.metrics.CheckpointSaves.Load()) })
-	s.reg.CounterFunc("fastlsa_align_checkpoint_restores_total",
-		"Runs that resumed their grid cache from a persisted checkpoint.",
-		func() float64 { return float64(s.metrics.CheckpointRestores.Load()) })
-	s.reg.GaugeFunc("fastlsa_align_peak_grid_entries",
-		"Largest grid-cache row count observed by any single run.",
-		func() float64 { return float64(s.metrics.PeakGridEntries.Load()) })
-	s.reg.CounterFunc("fastlsa_search_scanned_total",
-		"Database entries considered by corpus searches.",
-		func() float64 { return float64(s.metrics.SearchScanned.Load()) })
-	s.reg.CounterFunc("fastlsa_search_candidates_total",
-		"Entries that survived the q-gram seed filter.",
-		func() float64 { return float64(s.metrics.SearchCandidates.Load()) })
-	s.reg.CounterFunc("fastlsa_search_examined_total",
-		"Entries scored by the exact verify stage.",
-		func() float64 { return float64(s.metrics.SearchExamined.Load()) })
+	// The service-wide alignment and search counters: the counter table's
+	// exported rows.
+	for _, d := range stats.Table() {
+		if d.Metric == "" {
+			continue
+		}
+		read := func() float64 { return float64(d.Load(s.metrics)) }
+		if d.Peak {
+			s.reg.GaugeFunc(d.Metric, d.Help, read)
+		} else {
+			s.reg.CounterFunc(d.Metric, d.Help, read)
+		}
+	}
 	s.reg.CounterFunc("fastlsa_search_rate_limited_total",
 		"Search requests rejected 429 by the per-client rate limit.",
 		func() float64 {

@@ -131,6 +131,8 @@ func TestAlignValidation(t *testing.T) {
 		// problem (422), not a server bug.
 		{`{"a":"ACGTACGTACGTACGTACGT","b":"ACGTACGTACGTACGTACGT","matrix":"dna","gap":{"extend":-4},"algorithm":"fm","memoryBudget":4}`, http.StatusUnprocessableEntity},
 		{`{"a":"ACGT","b":"ACGT","matrix":"dna","gap":{"extend":-4},"local":true,"mode":"overlap"}`, http.StatusOK},
+		// An affine gap on a linear-only engine is a refused option.
+		{`{"a":"ACGT","b":"ACGT","matrix":"dna","gap":{"open":-6,"extend":-2},"algorithm":"compact"}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, srv.URL+"/v1/align", tc.body)

@@ -515,8 +515,8 @@ func TestConformanceErrors(t *testing.T) {
 			"local/fm": errInvalid, "banded/0": errInvalid,
 		}},
 		{"budget too small", base, func(o *fastlsa.Options) { o.MemoryBudget = 64 }, map[string]errClass{
-			"auto": errTooSmall, "fastlsa": errExceeded, "fm": errExceeded, "hirschberg": errNone,
-			"compact": errExceeded, "wfa": errExceeded, "score": errNone, "local/auto": errTooSmall,
+			"auto": errTooSmall, "fastlsa": errExceeded, "fm": errExceeded, "hirschberg": errExceeded,
+			"compact": errExceeded, "wfa": errExceeded, "score": errExceeded, "local/auto": errTooSmall,
 			"local/fm": errExceeded, "banded/0": errTooSmall,
 		}},
 		{"pre-cancelled context", base, func(o *fastlsa.Options) { o.Context = cancelled }, map[string]errClass{
@@ -530,8 +530,8 @@ func TestConformanceErrors(t *testing.T) {
 		}},
 		{"affine gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Affine(-6, -2) }, map[string]errClass{
 			"auto": errNone, "fastlsa": errNone, "fm": errNone, "hirschberg": errNone,
-			"compact": errOther, "wfa": errNone, "score": errNone, "local/auto": errNone,
-			"local/fm": errNone, "banded/0": errOther,
+			"compact": errInvalid, "wfa": errNone, "score": errNone, "local/auto": errNone,
+			"local/fm": errNone, "banded/0": errInvalid,
 		}},
 		{"non-uniform matrix", confCase{name: "errors", a: pa, b: pb, sys: protein, workers: 1}, nil, map[string]errClass{
 			"auto": errNone, "fastlsa": errNone, "hirschberg": errNone, "wfa": errInvalid,
@@ -627,7 +627,7 @@ func FuzzBackends(f *testing.F) {
 		const maxLen = 300
 		a := dnaSeq("a", fuzzDNA(sa, maxLen))
 		b := dnaSeq("b", fuzzDNA(sb, maxLen))
-		if rate > 0 && rate <= 1 && a.Len() > 0 {
+		if rate > 0 && rate <= 1 {
 			if mb, err := mutationModel(rate).Mutate("b", a, seed); err == nil && mb.Len() <= 2*maxLen {
 				b = mb
 			}

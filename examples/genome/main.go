@@ -58,7 +58,6 @@ func main() {
 	elapsed := time.Since(start)
 
 	st := al.Stats()
-	snap := counters.Snapshot()
 	p := *workers
 	if p == 0 {
 		p = runtime.GOMAXPROCS(0)
@@ -66,15 +65,15 @@ func main() {
 	fmt.Printf("\naligned in %v with %d workers\n", elapsed.Round(time.Millisecond), p)
 	fmt.Printf("score: %d, identity: %.1f%%, alignment columns: %d\n", al.Score, 100*st.Identity, st.Columns)
 	fmt.Printf("cells computed: %d (%.2fx the matrix; Hirschberg would be ~2x)\n",
-		snap.Cells, float64(snap.Cells)/(float64(a.Len())*float64(b.Len())))
-	fmt.Printf("throughput: %.1f Mcells/s\n", float64(snap.Cells)/elapsed.Seconds()/1e6)
+		counters.Cells.Load(), float64(counters.Cells.Load())/(float64(a.Len())*float64(b.Len())))
+	fmt.Printf("throughput: %.1f Mcells/s\n", float64(counters.Cells.Load())/elapsed.Seconds()/1e6)
 	fmt.Printf("fill tiles: %d (wavefront phases %d/%d/%d)\n",
-		snap.FillTiles, snap.Phase1Tiles, snap.Phase2Tiles, snap.Phase3Tiles)
+		counters.FillTiles.Load(), counters.Phase1Tiles.Load(), counters.Phase2Tiles.Load(), counters.Phase3Tiles.Load())
 	// Degradation report: under a tight budget the parallel fill shrinks its
 	// tile mesh instead of failing — these counters say how often that
 	// happened.
 	fmt.Printf("memory degradation: %d mesh shrinks, fill tiles planned/executed: %d/%d\n",
-		snap.MeshShrinks, snap.PlannedFillTiles, snap.ExecutedFillTiles)
+		counters.MeshShrinks.Load(), counters.PlannedFillTiles.Load(), counters.ExecutedFillTiles.Load())
 
 	// Where the time went, from the recorded spans: total tile-fill time per
 	// wavefront phase (Figure 13: ramp-up / saturated / ramp-down) plus the

@@ -45,8 +45,8 @@ type (
 	Stats = align.Stats
 	// Counters collects instrumentation (cells computed, base cases, ...).
 	Counters = stats.Counters
-	// CounterSnapshot is a plain-value copy of Counters (Counters.Snapshot),
-	// JSON-servable — degradation counters included.
+	// CounterSnapshot is a plain-value copy of every counter (Counters.Snapshot),
+	// JSON-servable as an object keyed by counter; read one from its Counters field.
 	CounterSnapshot = stats.Snapshot
 	// Trace records spans of a run (general/base cases, grid fills, phase-
 	// tagged wavefront tiles, tracebacks) for Chrome trace_event export.
@@ -534,6 +534,9 @@ func routeAlign(a, b *Sequence, opt Options) (RouteInfo, error) {
 		if !opt.Mode.IsGlobal() && !bk.Caps().EndsFree {
 			return RouteInfo{}, badInput("ends-free modes support the auto, fastlsa and fm engines (got %v)", opt.Algorithm)
 		}
+		if !opt.Gap.IsLinear() && !bk.Caps().AffineGaps {
+			return RouteInfo{}, badInput("the %v engine supports linear gap models only", opt.Algorithm)
+		}
 		if bk.Caps().UniformScoresOnly {
 			if _, werr := wfa.FromScoring(opt.Matrix, a.Alphabet, opt.Gap); werr != nil {
 				return RouteInfo{}, fmt.Errorf("%w: %w", ErrInvalidInput, werr)
@@ -577,12 +580,26 @@ func dispatchAlign(a, b *Sequence, opt Options) (core.Result, RouteInfo, error) 
 
 // Score computes only the optimal alignment score, in linear space
 // regardless of the selected algorithm. Ends-free modes and both gap models
-// are supported.
+// are supported. The memory budget is charged the sweep's boundary and
+// output edges: a row and a column each.
 func Score(a, b *Sequence, opt Options) (int64, error) {
 	opt, err := opt.normalise()
 	if err != nil {
 		return 0, err
 	}
+	budget, err := opt.budget()
+	if err != nil {
+		return 0, err
+	}
+	lanes := int64(1)
+	if !opt.Gap.IsLinear() {
+		lanes = 2
+	}
+	charge := lanes * 2 * int64(a.Len()+b.Len()+2)
+	if err := budget.Reserve(charge); err != nil {
+		return 0, fmt.Errorf("fastlsa: Score rows of %d entries: %w", charge, err)
+	}
+	defer budget.Release(charge)
 	if !opt.Mode.IsGlobal() {
 		return modeScore(a, b, opt)
 	}
@@ -680,7 +697,7 @@ func AlignBanded(a, b *Sequence, opt Options, band int) (*Alignment, error) {
 		return nil, err
 	}
 	if !opt.Gap.IsLinear() {
-		return nil, errors.New("fastlsa: AlignBanded: affine gaps not supported")
+		return nil, badInput("AlignBanded requires a linear gap model")
 	}
 	var res fm.Result
 	if band <= 0 {

@@ -96,7 +96,11 @@ func (hirschbergBackend) Caps() Capabilities {
 }
 
 func (hirschbergBackend) Align(a, b *seq.Sequence, req Request) (fm.Result, error) {
-	return hirschberg.Align(a, b, req.Matrix, req.Gap, hirschberg.Options{BaseCells: req.BaseCells}, req.Counters)
+	budget, err := req.Budget()
+	if err != nil {
+		return fm.Result{}, err
+	}
+	return hirschberg.Align(a, b, req.Matrix, req.Gap, hirschberg.Options{BaseCells: req.BaseCells}, budget, req.Counters)
 }
 
 type compactBackend struct{}

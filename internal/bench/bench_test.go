@@ -8,6 +8,7 @@ import (
 	"fastlsa/internal/bench"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
+	"fastlsa/internal/stats"
 )
 
 func TestWorkloadGeneration(t *testing.T) {
@@ -57,7 +58,7 @@ func TestRunEnginesAgree(t *testing.T) {
 		} else if m.Score != ref {
 			t.Fatalf("%s: score %d != %d", cfg.Engine, m.Score, ref)
 		}
-		if m.Stats.Cells == 0 {
+		if m.Stats[stats.Cells] == 0 {
 			t.Fatalf("%s: no cells recorded", cfg.Engine)
 		}
 		if m.Duration <= 0 {

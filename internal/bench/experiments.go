@@ -74,13 +74,13 @@ func ExperimentOpCounts(w io.Writer, sizes []int, ks []int) error {
 		if m.Err != nil {
 			return m.Err
 		}
-		t.AddRow(n, "fm", m.Stats.Cells, float64(m.Stats.Cells)/area, 1.0)
+		t.AddRow(n, "fm", m.Stats[stats.Cells], float64(m.Stats[stats.Cells])/area, 1.0)
 
 		m = Run(a, b, wl.Matrix(), Config{Engine: EngineHirschberg})
 		if m.Err != nil {
 			return m.Err
 		}
-		t.AddRow(n, "hirschberg", m.Stats.Cells, float64(m.Stats.Cells)/area, 2.0)
+		t.AddRow(n, "hirschberg", m.Stats[stats.Cells], float64(m.Stats[stats.Cells])/area, 2.0)
 
 		for _, k := range ks {
 			m = Run(a, b, wl.Matrix(), Config{Engine: EngineFastLSA, K: k, BaseCells: 256})
@@ -88,7 +88,7 @@ func ExperimentOpCounts(w io.Writer, sizes []int, ks []int) error {
 				return m.Err
 			}
 			pred := float64(k*k) / float64((k-1)*(k-1))
-			t.AddRow(n, fmt.Sprintf("fastlsa(k=%d)", k), m.Stats.Cells, float64(m.Stats.Cells)/area, pred)
+			t.AddRow(n, fmt.Sprintf("fastlsa(k=%d)", k), m.Stats[stats.Cells], float64(m.Stats[stats.Cells])/area, pred)
 		}
 	}
 	t.AddNote("predicted: FM 1.0; Hirschberg ~2.0; FastLSA <= (k/(k-1))^2 (Theorem 2)")
@@ -184,7 +184,7 @@ func ExperimentKSweep(w io.Writer, n int, ks []int) error {
 			return fmt.Errorf("k=%d: %w", k, m.Err)
 		}
 		bound := float64(k*k) / float64((k-1)*(k-1))
-		t.AddRow(k, m.Duration.Milliseconds(), m.Stats.Cells, float64(m.Stats.Cells)/area, bound, m.PeakMem)
+		t.AddRow(k, m.Duration.Milliseconds(), m.Stats[stats.Cells], float64(m.Stats[stats.Cells])/area, bound, m.PeakMem)
 	}
 	t.AddNote("cells factor must fall with k toward 1 while grid memory grows ~linearly in k")
 	return t.Fprint(w)
@@ -240,10 +240,10 @@ func ExperimentMemSweep(w io.Writer, n int) error {
 				return fmt.Errorf("budget=%d: parallel score %d != sequential %d", budget, pm.Score, m.Score)
 			}
 			parMS = fmt.Sprintf("%d", pm.Duration.Milliseconds())
-			parDegrade = fmt.Sprintf("%d", pm.Stats.MeshShrinks)
+			parDegrade = fmt.Sprintf("%d", pm.Stats[stats.MeshShrinks])
 		}
 		t.AddRow(budget, fmt.Sprintf("%.1f%%", 100*frac), fmState,
-			m.Duration.Milliseconds(), m.PeakMem, float64(m.Stats.Cells)/area, parMS, parDegrade)
+			m.Duration.Milliseconds(), m.PeakMem, float64(m.Stats[stats.Cells])/area, parMS, parDegrade)
 	}
 	t.AddNote("paper shape: FM becomes infeasible below 100%% of the matrix; FastLSA degrades gracefully to linear space")
 	t.AddNote("p4-degrade = mesh shrinks of the P=4 run; scores are checked equal to sequential")
@@ -365,8 +365,8 @@ func ExperimentTileSweep(w io.Writer, n, p int) error {
 		alpha := TheoremAlpha(p, R, C)
 		model := ModelSpeedup(a.Len(), b.Len(), ModelConfig{K: k, BaseCells: core.DefaultBaseCells, Workers: p, TileRows: u, TileCols: v})
 		t.AddRow(k, u, v, fmt.Sprintf("%dx%d", R, C),
-			m.Stats.Phase1Tiles, m.Stats.Phase2Tiles, m.Stats.Phase3Tiles,
-			fmt.Sprintf("%d/%d", m.Stats.PlannedFillTiles, m.Stats.ExecutedFillTiles),
+			m.Stats[stats.Phase1Tiles], m.Stats[stats.Phase2Tiles], m.Stats[stats.Phase3Tiles],
+			fmt.Sprintf("%d/%d", m.Stats[stats.PlannedFillTiles], m.Stats[stats.ExecutedFillTiles]),
 			fmt.Sprintf("%.3f", alpha), fmt.Sprintf("%.2f", model), m.Duration.Milliseconds())
 	}
 	t.AddNote("alpha = (1 + (P^2-P)/(R*C))/P from Theorem 4; larger R*C pushes alpha toward 1/P")
@@ -401,11 +401,11 @@ func ExperimentBounds(w io.Writer) error {
 		}
 		area := float64(a.Len()) * float64(b.Len())
 		bound := area * float64(tc.k*tc.k) / float64((tc.k-1)*(tc.k-1)) * 1.10 // +10% base-case slack
-		ok := float64(m.Stats.Cells) <= bound
+		ok := float64(m.Stats[stats.Cells]) <= bound
 		if !ok {
 			violated = true
 		}
-		t.AddRow(fmt.Sprintf("n=%d k=%d P=%d", tc.n, tc.k, tc.p), m.Stats.Cells, int64(bound), ok)
+		t.AddRow(fmt.Sprintf("n=%d k=%d P=%d", tc.n, tc.k, tc.p), m.Stats[stats.Cells], int64(bound), ok)
 	}
 	t.AddNote("bound: m*n*(k/(k-1))^2 (+10%% slack for clamped base cases), Theorem 2/4")
 	if err := t.Fprint(w); err != nil {
@@ -450,7 +450,7 @@ func ExperimentVariants(w io.Writer, n int) error {
 			return r.Score, err
 		}},
 		{"hirschberg", func(bg *memory.Budget, c *stats.Counters) (int64, error) {
-			r, err := hirschberg.Align(a, b, wl.Matrix(), gap, hirschberg.Options{}, c)
+			r, err := hirschberg.Align(a, b, wl.Matrix(), gap, hirschberg.Options{}, bg, c)
 			return r.Score, err
 		}},
 		{"fastlsa (k=8)", func(bg *memory.Budget, c *stats.Counters) (int64, error) {

@@ -11,6 +11,7 @@ import (
 	"fastlsa/internal/memory"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
+	"fastlsa/internal/stats"
 )
 
 // wfaDivergences is the divergence ladder E13 sweeps: the WFA kernel's
@@ -74,7 +75,7 @@ func ExperimentWFACrossover(w io.Writer, n int) error {
 		t.AddRow(d, identityCell, route.Backend,
 			float64(mf.Duration.Microseconds())/1000,
 			float64(mw.Duration.Microseconds())/1000,
-			speedup, mw.Stats.Cells, mf.Score == mw.Score)
+			speedup, mw.Stats[stats.Cells], mf.Score == mw.Score)
 	}
 	t.AddNote("wfa-cells: wavefront entries expanded; FastLSA computes ~m*n cells at every divergence")
 	t.AddNote("route: AlgoAuto's verdict at threshold %.2f — wfa while the estimate stays above it", backend.RouteIdentityThreshold)

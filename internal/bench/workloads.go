@@ -125,7 +125,7 @@ func (m Measurement) CellsPerSecond() float64 {
 	if m.Duration <= 0 {
 		return 0
 	}
-	return float64(m.Stats.Cells) / m.Duration.Seconds()
+	return float64(m.Stats[stats.Cells]) / m.Duration.Seconds()
 }
 
 // Run executes one alignment under cfg and measures it.
@@ -163,7 +163,7 @@ func Run(a, b *seq.Sequence, matrix *scoring.Matrix, cfg Config) Measurement {
 		score = res.Score
 	case EngineHirschberg:
 		var res fm.Result
-		res, err = hirschberg.Align(a, b, matrix, gap, hirschberg.Options{}, &c)
+		res, err = hirschberg.Align(a, b, matrix, gap, hirschberg.Options{}, budget, &c)
 		score = res.Score
 	case EngineFastLSA:
 		var res core.Result

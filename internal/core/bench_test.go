@@ -47,7 +47,7 @@ func BenchmarkAlignEngines(b *testing.B) {
 	b.Run("hirschberg", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := hirschberg.Align(x, y, m, gap, hirschberg.Options{}, nil); err != nil {
+			if _, err := hirschberg.Align(x, y, m, gap, hirschberg.Options{}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -80,7 +80,7 @@ func BenchmarkAlignAffineEngines(b *testing.B) {
 	b.Run("myers-miller", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := hirschberg.Align(x, y, m, gap, hirschberg.Options{}, nil); err != nil {
+			if _, err := hirschberg.Align(x, y, m, gap, hirschberg.Options{}, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

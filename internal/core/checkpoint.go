@@ -28,6 +28,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"hash/fnv"
+
+	"fastlsa/internal/stats"
 )
 
 // CheckpointSink persists grid-cache snapshots for one run and supplies the
@@ -152,7 +154,7 @@ func (s *solver) saveCheckpoint(grid *gridCache, done int) {
 	}
 	put32(crc32.ChecksumIEEE(blob))
 	if err := s.opt.ckpt.Save(blob); err == nil {
-		s.c.AddCheckpointSave()
+		s.c.Add(stats.CheckpointSaves, 1)
 	}
 }
 
@@ -219,7 +221,7 @@ func (s *solver) restoreCheckpoint(grid *gridCache) int {
 			line(grid.cols[i].G)
 		}
 	}
-	s.c.AddCheckpointRestore()
+	s.c.Add(stats.CheckpointRestores, 1)
 	return done
 }
 

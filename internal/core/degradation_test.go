@@ -63,11 +63,11 @@ func TestParallelDegradesUnderTightBudget(t *testing.T) {
 		t.Fatalf("degraded parallel result diverges: score %d, want %d", got.Score, want.Score)
 	}
 	s := c.Snapshot()
-	if s.MeshShrinks == 0 {
+	if s[stats.MeshShrinks] == 0 {
 		t.Fatalf("expected at least one degradation event under a %d-entry budget: %+v", budgetEntries, s)
 	}
-	if s.ExecutedFillTiles > s.PlannedFillTiles {
-		t.Fatalf("executed tiles %d exceed planned %d", s.ExecutedFillTiles, s.PlannedFillTiles)
+	if s[stats.ExecutedFillTiles] > s[stats.PlannedFillTiles] {
+		t.Fatalf("executed tiles %d exceed planned %d", s[stats.ExecutedFillTiles], s[stats.PlannedFillTiles])
 	}
 	if parBudget.Used() != 0 {
 		t.Fatalf("budget leak after degraded run: %d entries", parBudget.Used())

@@ -167,7 +167,7 @@ func (s *solver) solve(t rect, top, left kernel.Edge, state int) (exitR, exitC, 
 	}
 
 	// GENERAL CASE (Figure 2 lines 3-15).
-	s.c.AddGeneralCase()
+	s.c.Add(stats.GeneralCases, 1)
 	gt := s.tr.Begin()
 	defer s.tr.End(obs.SpanGeneralCase, obs.CatFastLSA, gt, obs.Tags{Rows: rows, Cols: cols})
 	k := s.opt.k
@@ -183,7 +183,7 @@ func (s *solver) solve(t rect, top, left kernel.Edge, state int) (exitR, exitC, 
 		return 0, 0, 0, err
 	}
 	defer grid.free()
-	s.c.ObserveGridEntries(s.opt.budget.Used())
+	s.c.Add(stats.PeakGridEntries, s.opt.budget.Used())
 
 	// Only the root grid checkpoints: seed it from the sink's snapshot (a
 	// cold run resumes at block-row 0) and register it so the fill saves
@@ -318,7 +318,7 @@ func (s *solver) baseCase(t rect, top, left kernel.Edge, state int) (exitR, exit
 	if err := siteBaseCase.Hit(); err != nil {
 		return 0, 0, 0, err
 	}
-	s.c.AddBaseCase()
+	s.c.Add(stats.BaseCases, 1)
 	rows, cols := t.rows(), t.cols()
 	entries := (rows + 1) * (cols + 1)
 

@@ -253,14 +253,14 @@ func TestCountersPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Snapshot()
-	if s.Cells == 0 || s.BaseCases == 0 || s.GeneralCases == 0 {
+	if s[stats.Cells] == 0 || s[stats.BaseCases] == 0 || s[stats.GeneralCases] == 0 {
 		t.Fatalf("counters not populated: %v", s)
 	}
-	if s.FillTiles == 0 {
+	if s[stats.FillTiles] == 0 {
 		t.Fatalf("parallel run recorded no fill tiles: %v", s)
 	}
-	if s.Phase1Tiles+s.Phase2Tiles+s.Phase3Tiles != s.FillTiles {
-		t.Fatalf("phase tiles %d+%d+%d != fill tiles %d", s.Phase1Tiles, s.Phase2Tiles, s.Phase3Tiles, s.FillTiles)
+	if s[stats.Phase1Tiles]+s[stats.Phase2Tiles]+s[stats.Phase3Tiles] != s[stats.FillTiles] {
+		t.Fatalf("phase tiles %d+%d+%d != fill tiles %d", s[stats.Phase1Tiles], s[stats.Phase2Tiles], s[stats.Phase3Tiles], s[stats.FillTiles])
 	}
 }
 

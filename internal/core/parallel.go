@@ -5,6 +5,7 @@ import (
 
 	"fastlsa/internal/kernel"
 	"fastlsa/internal/obs"
+	"fastlsa/internal/stats"
 	"fastlsa/internal/wavefront"
 )
 
@@ -65,7 +66,7 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	// Clamp the per-block subdivision so every tile is non-empty.
 	uReq := clampSub(s.opt.tileRows, minSegment(grid.rs))
 	vReq := clampSub(s.opt.tileCols, minSegment(grid.cs))
-	s.c.AddPlannedFillTiles(int64(k*uReq)*int64(k*vReq) - int64(uReq*vReq))
+	s.c.Add(stats.PlannedFillTiles, int64(k*uReq)*int64(k*vReq)-int64(uReq*vReq))
 
 	// Fit the mesh to the budget: shrink the subdivision toward 1 x 1, then
 	// reserve. TryReserve (rather than trusting Available) keeps the plan
@@ -79,13 +80,13 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 		meshEntries = meshEntriesFor(lanes, k, k*u, k*v, rows, cols)
 	}
 	if u != uReq || v != vReq {
-		s.c.AddMeshShrink()
+		s.c.Add(stats.MeshShrinks, 1)
 		if s.opt.obs.Recorder != nil {
 			s.opt.obs.Recorder.Add(obs.Event{Kind: obs.EvMeshShrink,
 				Detail: fmt.Sprintf("%dx%d->%dx%d", uReq, vReq, u, v)})
 		}
 	}
-	s.c.AddExecutedFillTiles(int64(k*u)*int64(k*v) - int64(u*v))
+	s.c.Add(stats.ExecutedFillTiles, int64(k*u)*int64(k*v)-int64(u*v))
 	R, C := k*u, k*v
 
 	// Tile boundaries refine the block boundaries.
@@ -98,7 +99,7 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	// allocated here. Lines at indices >= R (resp. C) are never produced or
 	// consumed.
 	defer s.opt.budget.Release(meshEntries)
-	s.c.ObserveGridEntries(s.opt.budget.Used())
+	s.c.Add(stats.PeakGridEntries, s.opt.budget.Used())
 
 	meshRows := make([]kernel.Edge, R)
 	meshCols := make([]kernel.Edge, C)
@@ -132,9 +133,9 @@ func (s *solver) fillGridCacheParallel(grid *gridCache) error {
 	skip := func(ti, tj int) bool { return ti >= (k-1)*u && tj >= (k-1)*v }
 
 	ph := wavefront.ClassifyPhases(R, C, s.opt.workers, skip)
-	s.c.AddPhaseTiles(1, ph.Tiles1)
-	s.c.AddPhaseTiles(2, ph.Tiles2)
-	s.c.AddPhaseTiles(3, ph.Tiles3)
+	s.c.Add(stats.Phase1Tiles, ph.Tiles1)
+	s.c.Add(stats.Phase2Tiles, ph.Tiles2)
+	s.c.Add(stats.Phase3Tiles, ph.Tiles3)
 
 	nd := R + C - 1
 	wf := &wavefront.Grid{
@@ -190,7 +191,7 @@ func (s *solver) fillTile(t rect, trs, tcs []int, meshRows, meshCols []kernel.Ed
 			copy(meshCols[tj+1].G[off+1:off+segRows+1], outCol.G[1:])
 		}
 	}
-	s.c.AddFillTile()
+	s.c.Add(stats.FillTiles, 1)
 	s.tr.End(obs.SpanFillTile, obs.CatWavefront, ft,
 		obs.Tags{Rows: segRows, Cols: segCols, Phase: phase, Worker: worker + 1})
 	return nil
@@ -231,9 +232,9 @@ func (s *solver) fillRectParallel(ra, rb []byte, top, left kernel.Edge, rt kerne
 	}
 
 	ph := wavefront.ClassifyPhases(R, C, s.opt.workers, nil)
-	s.c.AddPhaseTiles(1, ph.Tiles1)
-	s.c.AddPhaseTiles(2, ph.Tiles2)
-	s.c.AddPhaseTiles(3, ph.Tiles3)
+	s.c.Add(stats.Phase1Tiles, ph.Tiles1)
+	s.c.Add(stats.Phase2Tiles, ph.Tiles2)
+	s.c.Add(stats.Phase3Tiles, ph.Tiles3)
 
 	nd := R + C - 1
 	wf := &wavefront.Grid{
@@ -248,7 +249,7 @@ func (s *solver) fillRectParallel(ra, rb []byte, top, left kernel.Edge, rt kerne
 			if err := s.k.FillRegion(ra, rb, rt, trs[ti], trs[ti+1], tcs[tj], tcs[tj+1]); err != nil {
 				return err
 			}
-			s.c.AddFillTile()
+			s.c.Add(stats.FillTiles, 1)
 			s.tr.End(obs.SpanFillTile, obs.CatWavefront, ft, obs.Tags{
 				Rows: trs[ti+1] - trs[ti], Cols: tcs[tj+1] - tcs[tj],
 				Phase: ph.PhaseOfDiagonal(ti+tj, nd), Worker: w + 1,

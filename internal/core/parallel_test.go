@@ -101,11 +101,11 @@ func fillTestGrid(t *testing.T, a, b *seq.Sequence, gap scoring.Gap, k, u, v int
 	}
 	snap := c.Snapshot()
 	if parallel {
-		if want := int64(k*k - 1); tight && snap.ExecutedFillTiles != want {
-			t.Fatalf("tight budget executed %d tiles, want the %d of the 1x1 mesh", snap.ExecutedFillTiles, want)
+		if want := int64(k*k - 1); tight && snap[stats.ExecutedFillTiles] != want {
+			t.Fatalf("tight budget executed %d tiles, want the %d of the 1x1 mesh", snap[stats.ExecutedFillTiles], want)
 		}
-		if shrank := tight && (u > 1 || v > 1); (snap.MeshShrinks == 1) != shrank {
-			t.Fatalf("mesh shrinks %d, want shrink=%t", snap.MeshShrinks, shrank)
+		if shrank := tight && (u > 1 || v > 1); (snap[stats.MeshShrinks] == 1) != shrank {
+			t.Fatalf("mesh shrinks %d, want shrink=%t", snap[stats.MeshShrinks], shrank)
 		}
 	}
 	out := &gridCache{rows: make([]kernel.Edge, k), cols: make([]kernel.Edge, k)}

@@ -105,7 +105,7 @@ func AlignBanded(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, band in
 			cells++
 		}
 	}
-	c.AddCells(cells)
+	c.Add(stats.Cells, cells)
 
 	score := at(mlen, nlen)
 	if score <= NegInf {
@@ -140,6 +140,6 @@ func AlignBanded(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, band in
 	for ; j > 0; j-- {
 		bld.Push(align.Left)
 	}
-	c.AddTraceback(steps)
+	c.Add(stats.TracebackSteps, steps)
 	return Result{Score: score, Path: bld.Path()}, nil
 }

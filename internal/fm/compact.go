@@ -72,7 +72,7 @@ func AlignCompact(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget
 		}
 		steps++
 	}
-	c.AddTraceback(steps)
+	c.Add(stats.TracebackSteps, steps)
 	return Result{Score: row[len(rb)], Path: bld.Path()}, nil
 }
 
@@ -192,7 +192,7 @@ func fillDirs(ra, rb []byte, m *scoring.Matrix, g int64, c *stats.Counters) (dir
 			diag = up
 		}
 	}
-	c.AddCells(int64(len(ra)) * int64(len(rb)))
+	c.Add(stats.Cells, int64(len(ra))*int64(len(rb)))
 	return dirs, row, nil
 }
 

@@ -65,14 +65,14 @@ func AlignParallel(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, worke
 				if err := k.FillRegion(ra, rb, rt, trs[ti], trs[ti+1], tcs[tj], tcs[tj+1]); err != nil {
 					return err
 				}
-				c.AddFillTile()
+				c.Add(stats.FillTiles, 1)
 				return nil
 			},
 		}
 		ph := wavefront.ClassifyPhases(R, C, workers, nil)
-		c.AddPhaseTiles(1, ph.Tiles1)
-		c.AddPhaseTiles(2, ph.Tiles2)
-		c.AddPhaseTiles(3, ph.Tiles3)
+		c.Add(stats.Phase1Tiles, ph.Tiles1)
+		c.Add(stats.Phase2Tiles, ph.Tiles2)
+		c.Add(stats.Phase3Tiles, ph.Tiles3)
 		if err := wf.Run(); err != nil {
 			return Result{}, err
 		}

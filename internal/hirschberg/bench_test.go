@@ -18,7 +18,7 @@ func BenchmarkAlign(b *testing.B) {
 	b.SetBytes(int64(n) * int64(n))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := hirschberg.Align(x, y, scoring.DNASimple, scoring.Linear(-4), hirschberg.Options{}, nil); err != nil {
+		if _, err := hirschberg.Align(x, y, scoring.DNASimple, scoring.Linear(-4), hirschberg.Options{}, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func BenchmarkAlignAffine(b *testing.B) {
 	b.SetBytes(int64(n) * int64(n))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := hirschberg.Align(x, y, scoring.BLOSUM62, scoring.Affine(-11, -1), hirschberg.Options{}, nil); err != nil {
+		if _, err := hirschberg.Align(x, y, scoring.BLOSUM62, scoring.Affine(-11, -1), hirschberg.Options{}, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

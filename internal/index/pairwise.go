@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"sync"
 
 	"fastlsa/internal/seq"
 )
@@ -29,7 +28,10 @@ type identityScratch struct {
 	touched []int32
 }
 
-var identityScratchPool = sync.Pool{New: func() any { return new(identityScratch) }}
+// identityScratchFree is a bounded free list of idle scratches. A sync.Pool
+// may drop any Put (the race detector drops a random share on purpose), and
+// each drop reallocates the 1 MiB counts array. At most 4 stay pinned.
+var identityScratchFree = make(chan *identityScratch, 4)
 
 // reset zeroes every touched count and empties the touched list, leaving the
 // scratch ready for reuse.
@@ -106,7 +108,12 @@ func EstimateIdentity(a, b *seq.Sequence, q int) (identity float64, ok bool) {
 	if len(rb) < len(ra) {
 		ref, probe = rb, ra
 	}
-	sc := identityScratchPool.Get().(*identityScratch)
+	var sc *identityScratch
+	select {
+	case sc = <-identityScratchFree:
+	default:
+		sc = new(identityScratch)
+	}
 	if cap(sc.counts) < powQ {
 		sc.counts = make([]int32, identityMaxCodes)
 	}
@@ -133,7 +140,10 @@ func EstimateIdentity(a, b *seq.Sequence, q int) (identity float64, ok bool) {
 	})
 	sc.touched = touched
 	sc.reset()
-	identityScratchPool.Put(sc)
+	select {
+	case identityScratchFree <- sc:
+	default:
+	}
 	if samples == 0 {
 		return 0, false
 	}

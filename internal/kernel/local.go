@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fastlsa/internal/align"
+	"fastlsa/internal/stats"
 )
 
 // FillLocal fills rt with the Smith-Waterman local DP: row 0 and column 0
@@ -64,7 +65,7 @@ func (k *Kernel) FillLocal(a, b []byte, rt Rect) (best int64, bestR, bestC int, 
 			}
 		}
 	}
-	k.C.AddCells(int64(len(a)) * int64(len(b)))
+	k.C.Add(stats.Cells, int64(len(a))*int64(len(b)))
 	return best, bestR, bestC, nil
 }
 
@@ -108,7 +109,7 @@ func (k *Kernel) fillLocalAffine(a, b []byte, rt Rect) (best int64, bestR, bestC
 			}
 		}
 	}
-	k.C.AddCells(int64(len(a)) * int64(len(b)))
+	k.C.Add(stats.Cells, int64(len(a))*int64(len(b)))
 	return best, bestR, bestC, nil
 }
 
@@ -142,7 +143,7 @@ func (k *Kernel) TracebackLocal(a, b []byte, rt Rect, bld *align.Builder, fromR,
 			}
 			steps++
 		}
-		k.C.AddTraceback(steps)
+		k.C.Add(stats.TracebackSteps, steps)
 		return r, cc
 	}
 
@@ -158,7 +159,7 @@ func (k *Kernel) TracebackLocal(a, b []byte, rt Rect, bld *align.Builder, fromR,
 		case StateH:
 			cur := H[idx]
 			if cur == 0 {
-				k.C.AddTraceback(steps)
+				k.C.Add(stats.TracebackSteps, steps)
 				return r, cc
 			}
 			switch {
@@ -206,7 +207,7 @@ func (k *Kernel) TracebackLocal(a, b []byte, rt Rect, bld *align.Builder, fromR,
 		}
 		steps++
 	}
-	k.C.AddTraceback(steps)
+	k.C.Add(stats.TracebackSteps, steps)
 	return r, cc
 }
 
@@ -252,7 +253,7 @@ func (k *Kernel) LocalScore(a, b []byte) (score int64, endA, endB int, err error
 				}
 			}
 		}
-		k.C.AddCells(int64(len(a)) * int64(n))
+		k.C.Add(stats.Cells, int64(len(a))*int64(n))
 		return score, endA, endB, nil
 	}
 
@@ -299,6 +300,6 @@ func (k *Kernel) LocalScore(a, b []byte) (score int64, endA, endB int, err error
 			}
 		}
 	}
-	k.C.AddCells(int64(len(a)) * int64(n))
+	k.C.Add(stats.Cells, int64(len(a))*int64(n))
 	return score, endA, endB, nil
 }

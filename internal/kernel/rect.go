@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fastlsa/internal/align"
+	"fastlsa/internal/stats"
 )
 
 // Rect holds the stored DP planes of one rectangle, row-major with
@@ -99,7 +100,7 @@ func (k *Kernel) FillRegion(a, b []byte, rt Rect, r0, r1, c0, c1 int) error {
 		up, upHi := lo-stride, hi-stride
 		linearRow(buf[lo:hi], buf[up:upHi], b[c0:c1], k.M.Row(a[r-1]), buf[up-1], buf[lo-1], gap)
 	}
-	k.C.AddCells(int64(r1-r0) * int64(c1-c0))
+	k.C.Add(stats.Cells, int64(r1-r0)*int64(c1-c0))
 	return nil
 }
 
@@ -117,7 +118,7 @@ func (k *Kernel) fillRegionAffine(a, b []byte, rt Rect, r0, r1, c0, c1 int) erro
 		affineRowStored(H[lo:hi], E[lo:hi], F[lo:hi], H[up:upHi], E[up:upHi], b[c0:c1],
 			k.M.Row(a[r-1]), H[up-1], H[lo-1], F[lo-1], open, ext)
 	}
-	k.C.AddCells(int64(r1-r0) * int64(c1-c0))
+	k.C.Add(stats.Cells, int64(r1-r0)*int64(c1-c0))
 	return nil
 }
 
@@ -163,7 +164,7 @@ func (k *Kernel) Traceback(a, b []byte, rt Rect, bld *align.Builder, fromR, from
 		}
 		steps++
 	}
-	k.C.AddTraceback(steps)
+	k.C.Add(stats.TracebackSteps, steps)
 	return r, cc, StateH
 }
 
@@ -224,6 +225,6 @@ func (k *Kernel) tracebackAffine(a, b []byte, rt Rect, bld *align.Builder, fromR
 		}
 		steps++
 	}
-	k.C.AddTraceback(steps)
+	k.C.Add(stats.TracebackSteps, steps)
 	return r, cc, state
 }

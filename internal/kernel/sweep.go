@@ -1,6 +1,10 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+
+	"fastlsa/internal/stats"
+)
 
 // checkEdge validates one boundary edge of an n+1-entry side.
 func (k *Kernel) checkEdge(kind, side string, e Edge, n int) error {
@@ -98,7 +102,7 @@ func (k *Kernel) forwardLinear(a, b []byte, top, left, outRow, outCol Edge) erro
 			outCol.H[r+1] = h
 		}
 	}
-	k.C.AddCells(int64(rows) * int64(n))
+	k.C.Add(stats.Cells, int64(rows)*int64(n))
 	return nil
 }
 
@@ -151,7 +155,7 @@ func (k *Kernel) forwardAffine(a, b []byte, top, left, outRow, outCol Edge) erro
 			outCol.G[r+1] = f
 		}
 	}
-	k.C.AddCells(int64(rows) * int64(n))
+	k.C.Add(stats.Cells, int64(rows)*int64(n))
 	return nil
 }
 
@@ -234,7 +238,7 @@ func (k *Kernel) backwardLinear(a, b []byte, bottom, right, outRow, outCol Edge)
 			outCol.H[r] = h
 		}
 	}
-	k.C.AddCells(int64(rows) * int64(n))
+	k.C.Add(stats.Cells, int64(rows)*int64(n))
 	return nil
 }
 
@@ -292,7 +296,7 @@ func (k *Kernel) backwardAffine(a, b []byte, bottom, right, outRow, outCol Edge)
 			outCol.G[r] = f
 		}
 	}
-	k.C.AddCells(int64(rows) * int64(n))
+	k.C.Add(stats.Cells, int64(rows)*int64(n))
 	return nil
 }
 

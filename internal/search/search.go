@@ -228,15 +228,15 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 		if opt.Probe != nil {
 			*opt.Probe = probe
 		}
-		opt.Counters.AddSearchScanned(int64(probe.Scanned))
-		opt.Counters.AddSearchCandidates(int64(len(cands)))
+		opt.Counters.Add(stats.SearchScanned, int64(probe.Scanned))
+		opt.Counters.Add(stats.SearchCandidates, int64(len(cands)))
 	} else {
 		cands = make([]index.Candidate, len(db))
 		for i := range db {
 			cands[i] = index.Candidate{Entry: i}
 		}
-		opt.Counters.AddSearchScanned(int64(len(db)))
-		opt.Counters.AddSearchCandidates(int64(len(db)))
+		opt.Counters.Add(stats.SearchScanned, int64(len(db)))
+		opt.Counters.Add(stats.SearchCandidates, int64(len(db)))
 	}
 
 	// Phase 2: parallel score-only verify over the candidates.
@@ -332,7 +332,7 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 	}
 	wg.Wait()
 	ph.End(obs.Tags{Rows: len(cands), Cols: int(examined.Load())})
-	opt.Counters.AddSearchExamined(examined.Load())
+	opt.Counters.Add(stats.SearchExamined, examined.Load())
 	if scanErr != nil {
 		return nil, scanErr
 	}

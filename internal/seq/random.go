@@ -156,9 +156,9 @@ func (m MutationModel) Mutate(id string, ref *Sequence, seed int64) (*Sequence, 
 			}
 		}
 	}
-	if len(out) == 0 {
+	if len(out) == 0 && ref.Len() > 0 {
 		// Degenerate channel (e.g. DeletionRate=1); keep one residue so the
-		// result is a usable sequence.
+		// result is a usable sequence. An empty reference stays empty.
 		out = append(out, ref.Residues[0])
 	}
 	return &Sequence{ID: id, Residues: out, Alphabet: a}, nil

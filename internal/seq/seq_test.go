@@ -235,3 +235,19 @@ func TestHomologousPair(t *testing.T) {
 		t.Fatalf("lengths %d, %d", a.Len(), b.Len())
 	}
 }
+
+// TestMutateEmptyReference: an empty reference gives an empty mutant, not
+// a panic, even under a channel that deletes everything.
+func TestMutateEmptyReference(t *testing.T) {
+	a, b, err := seq.HomologousPair(0, seq.DNA, seq.DefaultHomology, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() != 0 || b.Len() != 0 {
+		t.Fatalf("lengths %d, %d, want 0, 0", a.Len(), b.Len())
+	}
+	m, err := seq.MutationModel{DeletionRate: 1}.Mutate("m", a, 1)
+	if err != nil || m.Len() != 0 {
+		t.Fatalf("all-deleting channel on an empty reference: %v, %v", m, err)
+	}
+}

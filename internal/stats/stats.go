@@ -9,52 +9,18 @@ package stats
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
-// Counters accumulates the work performed by one alignment run.
+// Counters accumulates the work performed by one alignment run. Each
+// exported field is one counter, named by the ID of the same name; add to
+// it with Add. Reading a field directly (Cells.Load()) is fine.
 type Counters struct {
-	// Cells counts DP matrix entries computed (the paper's unit of work).
-	Cells atomic.Int64
-	// TracebackSteps counts FindPath moves produced.
-	TracebackSteps atomic.Int64
-	// BaseCases counts FastLSA base-case invocations.
-	BaseCases atomic.Int64
-	// GeneralCases counts FastLSA general-case invocations.
-	GeneralCases atomic.Int64
-	// FillTiles counts tiles executed by parallel fill phases.
-	FillTiles atomic.Int64
-	// PeakGridEntries tracks the maximum number of grid-cache entries live
-	// at once (FastLSA space accounting).
-	PeakGridEntries atomic.Int64
-	// Phase1Tiles, Phase2Tiles, Phase3Tiles classify wavefront tiles into
-	// the three phases of Figure 13 (ramp-up diagonals with < P tiles,
-	// saturated middle, ramp-down).
-	Phase1Tiles, Phase2Tiles, Phase3Tiles atomic.Int64
-	// MeshShrinks counts parallel fills whose transient tile mesh was shrunk
-	// below the requested (u, v) subdivision to fit the memory budget.
-	MeshShrinks atomic.Int64
-	// PlannedFillTiles and ExecutedFillTiles compare the tile grid the
-	// requested (u, v) subdivision would have run against the grid that
-	// actually ran after budget-driven shrinking. Equal values mean no fill
-	// was degraded.
-	PlannedFillTiles, ExecutedFillTiles atomic.Int64
-	// SearchScanned counts database entries considered by corpus searches
-	// (the index probe's scan, or every entry on a brute-force scan).
-	SearchScanned atomic.Int64
-	// SearchCandidates counts entries that survived the q-gram seed filter.
-	// SearchCandidates / SearchScanned is the filter selectivity.
-	SearchCandidates atomic.Int64
-	// SearchExamined counts entries actually scored by the exact kernel at
-	// the verify stage (candidates minus early-abandoned ones).
-	SearchExamined atomic.Int64
-	// CheckpointSaves counts grid-cache snapshots persisted through an
-	// Options.Checkpoint sink (one per completed block-row of the root fill).
-	CheckpointSaves atomic.Int64
-	// CheckpointRestores counts runs that seeded their root grid cache from
-	// a checkpoint: a restored run recomputes strictly fewer cells than a
-	// cold one, which is the durability layer's whole point.
-	CheckpointRestores atomic.Int64
+	Cells, TracebackSteps, BaseCases, GeneralCases, FillTiles, PeakGridEntries              atomic.Int64
+	Phase1Tiles, Phase2Tiles, Phase3Tiles, MeshShrinks, PlannedFillTiles, ExecutedFillTiles atomic.Int64
+	SearchScanned, SearchCandidates, SearchExamined, CheckpointSaves, CheckpointRestores    atomic.Int64
 
 	// cancelDone and cancelCtx carry the run's cancellation signal
 	// (AttachContext). The kernels poll Cancelled between row sweeps; a nil
@@ -66,6 +32,96 @@ type Counters struct {
 	// (Derive). It never carries a cancellation signal for this run, so a
 	// Counters shared by concurrent runs stays race-free.
 	parent *Counters
+}
+
+// ID names one counter: a Counters field and its row of the counter table.
+type ID uint8
+
+// The counters, in table order (the order of a Snapshot, its JSON and its
+// String).
+const (
+	Cells              ID = iota // DP matrix entries computed (the paper's unit of work)
+	TracebackSteps               // traceback moves produced
+	BaseCases                    // FastLSA base-case solves
+	GeneralCases                 // FastLSA general-case splits
+	FillTiles                    // tiles executed by parallel fills
+	PeakGridEntries              // peak memory-budget entries of one FastLSA run
+	Phase1Tiles                  // wavefront tiles in Figure 13's ramp-up (diagonals of < P tiles)
+	Phase2Tiles                  // wavefront tiles in Figure 13's saturated middle
+	Phase3Tiles                  // wavefront tiles in Figure 13's ramp-down
+	MeshShrinks                  // parallel fills whose tile mesh shrank to fit the budget
+	PlannedFillTiles             // tiles the requested (u, v) subdivision would have run
+	ExecutedFillTiles            // tiles that ran after budget-driven shrinking (equal: none degraded)
+	SearchScanned                // database entries a corpus search considered
+	SearchCandidates             // entries that survived the q-gram seed filter
+	SearchExamined               // entries the exact kernel scored at the verify stage
+	CheckpointSaves              // grid-cache snapshots persisted through a checkpoint sink
+	CheckpointRestores           // runs that seeded their root grid cache from a checkpoint
+	numIDs
+)
+
+// Desc is one row of the counter table: everything a Snapshot, its JSON,
+// its String and the server's metric families need to know of a counter.
+type Desc struct {
+	// Key is the counter's JSON key and String label.
+	Key string
+	// Metric is the Prometheus family the server exports the counter as;
+	// empty leaves it unexported.
+	Metric string
+	// Peak counters keep the largest value added (a gauge); the others sum
+	// every Add (a counter).
+	Peak  bool
+	field func(*Counters) *atomic.Int64
+	// Help is the family's help text.
+	Help string
+}
+
+// Load reads d's counter from c (0 for a nil c).
+func (d Desc) Load(c *Counters) int64 {
+	if c == nil {
+		return 0
+	}
+	return d.field(c).Load()
+}
+
+// table is the one list of counters: adding a counter takes a Counters
+// field, an ID and a row here.
+var table = [numIDs]Desc{
+	Cells: {"cells", "fastlsa_align_cells_total", false, func(c *Counters) *atomic.Int64 { return &c.Cells },
+		"DP matrix cells computed across all requests, WFA wavefront cells included."},
+	TracebackSteps: {"traceback_steps", "fastlsa_align_traceback_steps_total", false, func(c *Counters) *atomic.Int64 { return &c.TracebackSteps },
+		"Traceback steps walked across all requests."},
+	BaseCases: {"base_cases", "fastlsa_align_base_cases_total", false, func(c *Counters) *atomic.Int64 { return &c.BaseCases },
+		"FastLSA recursions solved directly in the base-case buffer."},
+	GeneralCases: {"general_cases", "fastlsa_align_general_cases_total", false, func(c *Counters) *atomic.Int64 { return &c.GeneralCases },
+		"FastLSA recursions that split into a grid of subproblems."},
+	FillTiles: {"fill_tiles", "fastlsa_align_fill_tiles_total", false, func(c *Counters) *atomic.Int64 { return &c.FillTiles },
+		"Wavefront tiles filled by the parallel grid fill."},
+	PeakGridEntries: {"peak_grid_entries", "fastlsa_align_peak_grid_entries", true, func(c *Counters) *atomic.Int64 { return &c.PeakGridEntries },
+		"Largest number of memory-budget entries (grid caches and base-case buffer included) held at once by a single FastLSA run; 0 for runs without a memory budget."},
+	Phase1Tiles: {"phase1_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.Phase1Tiles }, ""},
+	Phase2Tiles: {"phase2_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.Phase2Tiles }, ""},
+	Phase3Tiles: {"phase3_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.Phase3Tiles }, ""},
+	MeshShrinks: {"mesh_shrinks", "fastlsa_align_mesh_shrinks_total", false, func(c *Counters) *atomic.Int64 { return &c.MeshShrinks },
+		"Parallel fills that shrank their mesh to fit the memory budget."},
+	PlannedFillTiles:  {"planned_fill_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.PlannedFillTiles }, ""},
+	ExecutedFillTiles: {"executed_fill_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.ExecutedFillTiles }, ""},
+	SearchScanned: {"search_scanned", "fastlsa_search_scanned_total", false, func(c *Counters) *atomic.Int64 { return &c.SearchScanned },
+		"Database entries considered by corpus searches."},
+	SearchCandidates: {"search_candidates", "fastlsa_search_candidates_total", false, func(c *Counters) *atomic.Int64 { return &c.SearchCandidates },
+		"Entries that survived the q-gram seed filter."},
+	SearchExamined: {"search_examined", "fastlsa_search_examined_total", false, func(c *Counters) *atomic.Int64 { return &c.SearchExamined },
+		"Entries scored by the exact verify stage."},
+	CheckpointSaves: {"checkpoint_saves", "fastlsa_align_checkpoint_saves_total", false, func(c *Counters) *atomic.Int64 { return &c.CheckpointSaves },
+		"Grid-cache snapshots persisted through checkpoint sinks."},
+	CheckpointRestores: {"checkpoint_restores", "fastlsa_align_checkpoint_restores_total", false, func(c *Counters) *atomic.Int64 { return &c.CheckpointRestores },
+		"Runs that resumed their grid cache from a persisted checkpoint."},
+}
+
+// Table returns a copy of the counter table, in ID order.
+func Table() []Desc {
+	t := table
+	return t[:]
 }
 
 // Derive returns a per-run child of c bound to ctx's cancellation signal.
@@ -148,120 +204,20 @@ func (p *Poll) Tick(n int) error {
 	return p.c.Cancelled()
 }
 
-// AddCells records n DP entries computed.
-func (c *Counters) AddCells(n int64) {
-	for ; c != nil; c = c.parent {
-		c.Cells.Add(n)
+// Add records n against counter id, on c and on every Derive parent: a Sum
+// counter grows by n, a Peak counter rises to n if n is larger.
+func (c *Counters) Add(id ID, n int64) {
+	if c == nil {
+		return
 	}
-}
-
-// AddTraceback records n traceback steps.
-func (c *Counters) AddTraceback(n int64) {
+	d := &table[id]
 	for ; c != nil; c = c.parent {
-		c.TracebackSteps.Add(n)
-	}
-}
-
-// AddBaseCase records a FastLSA base-case solve.
-func (c *Counters) AddBaseCase() {
-	for ; c != nil; c = c.parent {
-		c.BaseCases.Add(1)
-	}
-}
-
-// AddGeneralCase records a FastLSA general-case split.
-func (c *Counters) AddGeneralCase() {
-	for ; c != nil; c = c.parent {
-		c.GeneralCases.Add(1)
-	}
-}
-
-// AddFillTile records one executed wavefront tile.
-func (c *Counters) AddFillTile() {
-	for ; c != nil; c = c.parent {
-		c.FillTiles.Add(1)
-	}
-}
-
-// AddPhaseTiles classifies cnt tiles into wavefront phase p (1, 2 or 3).
-func (c *Counters) AddPhaseTiles(p int, cnt int64) {
-	for ; c != nil; c = c.parent {
-		switch p {
-		case 1:
-			c.Phase1Tiles.Add(cnt)
-		case 2:
-			c.Phase2Tiles.Add(cnt)
-		case 3:
-			c.Phase3Tiles.Add(cnt)
+		v := d.field(c)
+		if !d.Peak {
+			v.Add(n)
+			continue
 		}
-	}
-}
-
-// AddMeshShrink records one parallel fill whose tile mesh was shrunk to fit
-// the budget.
-func (c *Counters) AddMeshShrink() {
-	for ; c != nil; c = c.parent {
-		c.MeshShrinks.Add(1)
-	}
-}
-
-// AddPlannedFillTiles records the tile count of the requested tiling.
-func (c *Counters) AddPlannedFillTiles(n int64) {
-	for ; c != nil; c = c.parent {
-		c.PlannedFillTiles.Add(n)
-	}
-}
-
-// AddExecutedFillTiles records the tile count of the tiling that ran.
-func (c *Counters) AddExecutedFillTiles(n int64) {
-	for ; c != nil; c = c.parent {
-		c.ExecutedFillTiles.Add(n)
-	}
-}
-
-// AddSearchScanned records n database entries considered by a corpus scan.
-func (c *Counters) AddSearchScanned(n int64) {
-	for ; c != nil; c = c.parent {
-		c.SearchScanned.Add(n)
-	}
-}
-
-// AddSearchCandidates records n entries surviving the seed filter.
-func (c *Counters) AddSearchCandidates(n int64) {
-	for ; c != nil; c = c.parent {
-		c.SearchCandidates.Add(n)
-	}
-}
-
-// AddSearchExamined records n entries scored by the exact verify stage.
-func (c *Counters) AddSearchExamined(n int64) {
-	for ; c != nil; c = c.parent {
-		c.SearchExamined.Add(n)
-	}
-}
-
-// AddCheckpointSave records one grid-cache snapshot persisted.
-func (c *Counters) AddCheckpointSave() {
-	for ; c != nil; c = c.parent {
-		c.CheckpointSaves.Add(1)
-	}
-}
-
-// AddCheckpointRestore records one run resumed from a checkpoint.
-func (c *Counters) AddCheckpointRestore() {
-	for ; c != nil; c = c.parent {
-		c.CheckpointRestores.Add(1)
-	}
-}
-
-// ObserveGridEntries raises the peak grid-entry watermark to n if larger.
-func (c *Counters) ObserveGridEntries(n int64) {
-	for ; c != nil; c = c.parent {
-		for {
-			cur := c.PeakGridEntries.Load()
-			if n <= cur || c.PeakGridEntries.CompareAndSwap(cur, n) {
-				break
-			}
+		for cur := v.Load(); n > cur && !v.CompareAndSwap(cur, n); cur = v.Load() {
 		}
 	}
 }
@@ -275,60 +231,42 @@ func (c *Counters) RecomputationFactor(m, n int) float64 {
 	return float64(c.Cells.Load()) / (float64(m) * float64(n))
 }
 
-// Snapshot is a plain-value copy of the counters. The JSON tags make it
+// Snapshot is a plain-value copy of the counters, indexed by ID. It encodes
+// to JSON as one object keyed by each counter's Desc.Key, which makes it
 // directly servable (the alignment section of the server's /v1/stats reply).
-type Snapshot struct {
-	Cells              int64 `json:"cells"`
-	TracebackSteps     int64 `json:"traceback_steps"`
-	BaseCases          int64 `json:"base_cases"`
-	GeneralCases       int64 `json:"general_cases"`
-	FillTiles          int64 `json:"fill_tiles"`
-	PeakGridEntries    int64 `json:"peak_grid_entries"`
-	Phase1Tiles        int64 `json:"phase1_tiles"`
-	Phase2Tiles        int64 `json:"phase2_tiles"`
-	Phase3Tiles        int64 `json:"phase3_tiles"`
-	MeshShrinks        int64 `json:"mesh_shrinks"`
-	PlannedFillTiles   int64 `json:"planned_fill_tiles"`
-	ExecutedFillTiles  int64 `json:"executed_fill_tiles"`
-	SearchScanned      int64 `json:"search_scanned"`
-	SearchCandidates   int64 `json:"search_candidates"`
-	SearchExamined     int64 `json:"search_examined"`
-	CheckpointSaves    int64 `json:"checkpoint_saves"`
-	CheckpointRestores int64 `json:"checkpoint_restores"`
-}
+type Snapshot [numIDs]int64
 
 // Snapshot copies the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	if c == nil {
-		return Snapshot{}
+func (c *Counters) Snapshot() (s Snapshot) {
+	for id, d := range table {
+		s[id] = d.Load(c)
 	}
-	return Snapshot{
-		Cells:              c.Cells.Load(),
-		TracebackSteps:     c.TracebackSteps.Load(),
-		BaseCases:          c.BaseCases.Load(),
-		GeneralCases:       c.GeneralCases.Load(),
-		FillTiles:          c.FillTiles.Load(),
-		PeakGridEntries:    c.PeakGridEntries.Load(),
-		Phase1Tiles:        c.Phase1Tiles.Load(),
-		Phase2Tiles:        c.Phase2Tiles.Load(),
-		Phase3Tiles:        c.Phase3Tiles.Load(),
-		MeshShrinks:        c.MeshShrinks.Load(),
-		PlannedFillTiles:   c.PlannedFillTiles.Load(),
-		ExecutedFillTiles:  c.ExecutedFillTiles.Load(),
-		SearchScanned:      c.SearchScanned.Load(),
-		SearchCandidates:   c.SearchCandidates.Load(),
-		SearchExamined:     c.SearchExamined.Load(),
-		CheckpointSaves:    c.CheckpointSaves.Load(),
-		CheckpointRestores: c.CheckpointRestores.Load(),
-	}
+	return s
 }
 
-// String implements fmt.Stringer.
+// MarshalJSON encodes s as an object of every counter, in table order.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for id, v := range s {
+		if id > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, table[id].Key)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return append(b, '}'), nil
+}
+
+// String implements fmt.Stringer: key=value for every counter, in table
+// order.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("cells=%d trace=%d base=%d general=%d tiles=%d(p1=%d p2=%d p3=%d planned=%d ran=%d) peakGrid=%d shrinks=%d search=%d/%d/%d",
-		s.Cells, s.TracebackSteps, s.BaseCases, s.GeneralCases,
-		s.FillTiles, s.Phase1Tiles, s.Phase2Tiles, s.Phase3Tiles,
-		s.PlannedFillTiles, s.ExecutedFillTiles, s.PeakGridEntries,
-		s.MeshShrinks,
-		s.SearchScanned, s.SearchCandidates, s.SearchExamined)
+	var b strings.Builder
+	for id, v := range s {
+		if id > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", table[id].Key, v)
+	}
+	return b.String()
 }

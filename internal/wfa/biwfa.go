@@ -265,7 +265,7 @@ func (s *biSolver) step(sc int) error {
 			f.base[0] = 1
 		}
 		s.mw[0] = f
-		s.opt.Counters.AddCells(1)
+		s.opt.Counters.Add(stats.Cells, 1)
 		return s.poll.Tick(1)
 	}
 
@@ -350,7 +350,7 @@ func (s *biSolver) step(sc int) error {
 	s.dw[ii] = wd
 	s.mw[mi] = wm
 	cells := 3 * (hi - lo + 1)
-	s.opt.Counters.AddCells(int64(cells))
+	s.opt.Counters.Add(stats.Cells, int64(cells))
 	return s.poll.Tick(cells)
 }
 
@@ -535,7 +535,9 @@ func (r *biRunner) fallback(a, b []byte, S int) error {
 	r.fallbacks++
 	sa := &seq.Sequence{ID: "biwfa-a", Residues: a, Alphabet: r.alphabet}
 	sb := &seq.Sequence{ID: "biwfa-b", Residues: b, Alphabet: r.alphabet}
-	res, err := hirschberg.Align(sa, sb, r.mat, r.gap, hirschberg.Options{}, r.opt.Counters)
+	// Like every BiWFA buffer but the fronts, the fallback is not charged
+	// to the run's budget.
+	res, err := hirschberg.Align(sa, sb, r.mat, r.gap, hirschberg.Options{}, nil, r.opt.Counters)
 	if err != nil {
 		return err
 	}

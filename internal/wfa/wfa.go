@@ -486,7 +486,7 @@ func (s *solver) compute(sc int) error {
 	s.dw = append(s.dw, wd)
 	s.mw = append(s.mw, wm)
 	cells := 3 * (hi - lo + 1)
-	s.counters.AddCells(int64(cells))
+	s.counters.Add(stats.Cells, int64(cells))
 	return s.poll.Tick(cells)
 }
 
@@ -536,7 +536,7 @@ func (s *solver) backtrace(cost int) (align.Path, error) {
 				for ; h > 0; h-- {
 					bld.Push(align.Diag)
 				}
-				s.counters.AddTraceback(int64(bld.Len()))
+				s.counters.Add(stats.TracebackSteps, int64(bld.Len()))
 				return bld.Path(), nil
 			}
 			// Rewind the greedy match extension down to the pre-extension
