@@ -14,7 +14,7 @@ package fastlsa_test
 //	E6  BenchmarkE6_MemSweep           effect of the memory budget RM
 //	E7  BenchmarkE7_Speedup            workers P (plus model speedup)
 //	E8  BenchmarkE8_Efficiency         problem size at fixed P
-//	E9  BenchmarkE9_TileSweep          (k, u, v) tilings / wavefront phases
+//	E9  BenchmarkE9_TileSweep          k sweep (R = C = k tilings) / wavefront phases
 //	E12 BenchmarkE12_Variants          full-matrix variants and accelerators
 //	E13 BenchmarkE13_WFACrossover      FastLSA vs WFA by divergence
 //
@@ -172,15 +172,14 @@ func BenchmarkE7_Speedup(b *testing.B) {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := bench.Run(x, y, scoring.DNASimple, bench.Config{
-					Engine: bench.EngineFastLSA, K: 8, BaseCells: core.DefaultBaseCells,
-					Workers: p, TileRows: 2, TileCols: 2,
+					Engine: bench.EngineFastLSA, K: 16, BaseCells: core.DefaultBaseCells, Workers: p,
 				})
 				if m.Err != nil {
 					b.Fatal(m.Err)
 				}
 			}
 			model := bench.ModelSpeedup(x.Len(), y.Len(), bench.ModelConfig{
-				K: 8, BaseCells: core.DefaultBaseCells, Workers: p, TileRows: 2, TileCols: 2,
+				K: 16, BaseCells: core.DefaultBaseCells, Workers: p,
 			})
 			b.ReportMetric(model, "model-speedup")
 		})
@@ -201,7 +200,7 @@ func BenchmarkE8_Efficiency(b *testing.B) {
 				}
 			}
 			model := bench.ModelSpeedup(x.Len(), y.Len(), bench.ModelConfig{
-				K: 8, BaseCells: core.DefaultBaseCells, Workers: p, TileRows: 2, TileCols: 2,
+				K: 8, BaseCells: core.DefaultBaseCells, Workers: p,
 			})
 			b.ReportMetric(model/float64(p), "model-efficiency")
 		})
@@ -211,14 +210,12 @@ func BenchmarkE8_Efficiency(b *testing.B) {
 func BenchmarkE9_TileSweep(b *testing.B) {
 	const n, p = 2000, 4
 	x, y := benchPair(b, n, seq.DNA)
-	for _, kuv := range [][3]int{{4, 1, 1}, {6, 2, 3}, {8, 2, 2}, {8, 4, 4}} {
-		k, u, v := kuv[0], kuv[1], kuv[2]
-		b.Run(fmt.Sprintf("k%d_u%d_v%d", k, u, v), func(b *testing.B) {
+	for _, k := range []int{4, 8, 16, 32} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			var snap stats.Snapshot
 			for i := 0; i < b.N; i++ {
 				m := bench.Run(x, y, scoring.DNASimple, bench.Config{
-					Engine: bench.EngineFastLSA, K: k, BaseCells: core.DefaultBaseCells,
-					Workers: p, TileRows: u, TileCols: v,
+					Engine: bench.EngineFastLSA, K: k, BaseCells: core.DefaultBaseCells, Workers: p,
 				})
 				if m.Err != nil {
 					b.Fatal(m.Err)
@@ -229,7 +226,7 @@ func BenchmarkE9_TileSweep(b *testing.B) {
 			if total > 0 {
 				b.ReportMetric(float64(snap[stats.Phase2Tiles])/float64(total), "phase2-fraction")
 			}
-			b.ReportMetric(bench.TheoremAlpha(p, k*u, k*v), "alpha-bound")
+			b.ReportMetric(bench.TheoremAlpha(p, k, k), "alpha-bound")
 		})
 	}
 }

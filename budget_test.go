@@ -35,13 +35,12 @@ func TestAutoRevalidatesOverrides(t *testing.T) {
 }
 
 // TestAutoParallelTightBudget: the acceptance scenario at library level — a
-// parallel AlgoAuto run under a budget that cannot hold the default tile
-// mesh completes with the sequential run's exact score.
+// parallel AlgoAuto run under a tight budget runs the parallel fill inside
+// the sequential plan and completes with the sequential run's exact score.
 func TestAutoParallelTightBudget(t *testing.T) {
 	// A clearly divergent pair, far below the routing threshold: AlgoAuto
-	// must serve it on FastLSA rather than the WFA backend, which never
-	// plans tiles, because this test is about the FastLSA degradation
-	// ladder.
+	// must serve it on FastLSA rather than the WFA backend, which has no
+	// wavefront tiles, because this test is about FastLSA's parallel fill.
 	divergent := fastlsa.DefaultHomology
 	divergent.SubstitutionRate = 0.35
 	a, b, err := fastlsa.HomologousPair(3000, fastlsa.DNA, divergent, 32)
@@ -66,12 +65,12 @@ func TestAutoParallelTightBudget(t *testing.T) {
 	parOpt.Counters = &c
 	got, err := fastlsa.Align(a, b, parOpt)
 	if err != nil {
-		t.Fatalf("parallel run under a tight budget must degrade, not fail: %v", err)
+		t.Fatalf("parallel run under a tight budget failed: %v", err)
 	}
 	if got.Score != want.Score {
 		t.Fatalf("parallel score %d != sequential %d", got.Score, want.Score)
 	}
-	if c.PlannedFillTiles.Load() == 0 {
-		t.Fatalf("no parallel fill was planned (counters: %v)", c.Snapshot())
+	if c.FillTiles.Load() == 0 {
+		t.Fatalf("no parallel fill ran (counters: %v)", c.Snapshot())
 	}
 }

@@ -17,7 +17,7 @@
 //	memsweep    E6: adapting to the memory budget RM
 //	speedup     E7: parallel speedup vs P
 //	efficiency  E8: parallel efficiency vs problem size
-//	tilesweep   E9: (k, u, v) tiling and the three wavefront phases
+//	tilesweep   E9: k sweep (R = C = k tiles) and the three wavefront phases
 //	search      E10: q-gram seed filter vs brute-force corpus scan
 //	bounds      E11: theorem-bound verification
 //	wfa         E13: FastLSA vs WFA crossover by divergence

@@ -168,6 +168,8 @@ func (s *server) journalledView(id string) (jobView, bool) {
 		State:    rec.State,
 		Attempts: rec.Attempts,
 		Error:    rec.Error,
+		// The journal keeps no result payloads.
+		ResultEvicted: rec.State == fastlsa.JobSucceeded.String(),
 	}, true
 }
 

@@ -390,6 +390,10 @@ func TestJournalPersistsAcrossCleanRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || out["state"] != "succeeded" {
 		t.Fatalf("journalled view: status %d %v", resp.StatusCode, out)
 	}
+	// The journal keeps no payloads, so the view says the result is gone.
+	if out["result"] != nil || out["resultEvicted"] != true {
+		t.Fatalf("journalled view %v, want resultEvicted and no result", out)
+	}
 }
 
 func doRequest(t *testing.T, req *http.Request) (*http.Response, map[string]any) {

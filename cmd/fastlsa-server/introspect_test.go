@@ -56,16 +56,12 @@ func pollAttempts(t *testing.T, url string, n int, deadline time.Duration) {
 	t.Fatalf("job never reached %d attempts", n)
 }
 
-// degradedAlignBody builds an align request whose parallel fill cannot hold
-// its tile mesh inside the memory budget, so the run must take at least one
-// degradation-ladder step (a mesh shrink). The mesh lines on block
-// boundaries are the grid cache's own, so only a u x v > 1 x 1 subdivision
-// costs memory: 8 workers ask for u = v = 2 at the
-// default k = 8. The algorithm is explicit because an auto-routed FastLSA
-// run is planned against the budget and never needs to degrade; the
-// 100,000-entry budget holds the default base buffer and grid caches but
-// not the 2 x 2 mesh.
-func degradedAlignBody(t *testing.T) string {
+// tightAlignBody builds an explicit (unplanned) FastLSA request with 8
+// workers under a budget that holds the default base buffer and the k = 8
+// grid caches but not the k = 16 grid that 8 workers would otherwise get:
+// the unset K resolves to DefaultK, and the parallel fill runs inside the
+// budget, which it never needs more of.
+func tightAlignBody(t *testing.T) string {
 	t.Helper()
 	a, b := testutil.HomologousPair(1500, seq.DNA, 21)
 	return fmt.Sprintf(
@@ -74,9 +70,9 @@ func degradedAlignBody(t *testing.T) string {
 }
 
 // TestJobEventsTimelineRetriedDegraded is the acceptance scenario for the
-// flight recorder: a retried, memory-degraded job's whole story — admission,
-// the injected first-attempt fault, the retry backoff, the degradation step,
-// the solver phases and the completion — lands on one ordered timeline served
+// flight recorder: a retried job's whole story under a tight memory budget —
+// admission, the injected first-attempt fault, the retry backoff, the
+// solver phases and the completion — lands on one ordered timeline served
 // by GET /v1/jobs/{id}/events.
 func TestJobEventsTimelineRetriedDegraded(t *testing.T) {
 	if err := fault.Arm("engine.worker:error", 1); err != nil {
@@ -91,7 +87,7 @@ func TestJobEventsTimelineRetriedDegraded(t *testing.T) {
 		"type": "align",
 		"retry": {"maxAttempts": 100, "backoffMs": 1},
 		"align": %s
-	}`, degradedAlignBody(t))
+	}`, tightAlignBody(t))
 	resp, out := postJSON(t, srv.URL+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d: %v", resp.StatusCode, out)
@@ -140,14 +136,11 @@ func TestJobEventsTimelineRetriedDegraded(t *testing.T) {
 	start1 := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvStart && e.Attempt == 1 })
 	retry := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvRetry })
 	startN := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvStart && e.Attempt == attempts })
-	degrade := idx(func(e fastlsa.RecorderEvent) bool {
-		return e.Kind == obs.EvMeshShrink
-	})
 	route := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvRoute })
 	phase := idx(func(e fastlsa.RecorderEvent) bool { return e.Kind == obs.EvPhase })
 	for name, i := range map[string]int{
 		"start attempt 1": start1, "retry": retry, "final start": startN,
-		"degradation step": degrade, "route decision": route, "phase span": phase,
+		"route decision": route, "phase span": phase,
 	} {
 		if i < 0 {
 			kinds := make([]string, len(ev.Events))
@@ -157,9 +150,9 @@ func TestJobEventsTimelineRetriedDegraded(t *testing.T) {
 			t.Fatalf("timeline lacks a %s event: %v", name, kinds)
 		}
 	}
-	if !(start1 < retry && retry < startN && startN < degrade && startN < phase) {
-		t.Errorf("timeline out of order: start1=%d retry=%d startN=%d degrade=%d phase=%d",
-			start1, retry, startN, degrade, phase)
+	if !(start1 < retry && retry < startN && startN < phase) {
+		t.Errorf("timeline out of order: start1=%d retry=%d startN=%d phase=%d",
+			start1, retry, startN, phase)
 	}
 
 	// The retry event carries the injected fault and the backoff it cost.
@@ -175,7 +168,7 @@ func TestJobEventsTimelineRetriedDegraded(t *testing.T) {
 	// every solver event sits after the final start.
 	for i, e := range ev.Events {
 		switch e.Kind {
-		case obs.EvPhase, obs.EvRoute, obs.EvMeshShrink, obs.EvBudgetFallback:
+		case obs.EvPhase, obs.EvRoute, obs.EvBudgetFallback:
 			if i < startN {
 				t.Errorf("solver event %s at index %d precedes the final start (%d)", e.Kind, i, startN)
 			}

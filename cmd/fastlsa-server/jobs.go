@@ -77,6 +77,10 @@ type jobView struct {
 	Recovered bool `json:"recovered,omitempty"`
 	// Result carries the endpoint-shaped response once the job succeeded.
 	Result any `json:"result,omitempty"`
+	// ResultEvicted marks a succeeded job whose result payload is no longer
+	// held: it aged past the retained-results bound (-max-results), or the
+	// job finished before a restart and is served from the journal.
+	ResultEvicted bool `json:"resultEvicted,omitempty"`
 	// Events is the job's flight-recorder timeline, included when the view
 	// was requested with ?events=1 (GET /v1/jobs/{id}).
 	Events *fastlsa.RecorderSnapshot `json:"events,omitempty"`
@@ -136,8 +140,8 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Every async job gets a flight recorder: the engine logs the lifecycle
 	// (admission, attempt starts, retries, completion) and the task builders
-	// thread it into the run so routing and degradation decisions land on the
-	// same timeline. Snapshot it via GET /v1/jobs/{id}/events or ?events=1.
+	// thread it into the run so routing decisions and solver phases land on
+	// the same timeline. Snapshot it via GET /v1/jobs/{id}/events or ?events=1.
 	rec := fastlsa.NewRecorder(0)
 	if req.Align != nil && r.URL.Query().Get("trace") == "1" {
 		req.Align.Trace = true
@@ -220,7 +224,9 @@ func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, jobLookupStatus(err), "%v", err)
 		return
 	}
-	v := viewOf(j.View())
+	info, result := j.View()
+	v := viewOf(info, result)
+	v.ResultEvicted = info.State == fastlsa.JobSucceeded && result == nil
 	if r.URL.Query().Get("events") == "1" && j.HasRecorder() {
 		snap := j.Events()
 		v.Events = &snap
@@ -254,9 +260,8 @@ func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsView is the GET /v1/stats reply: the engine's job counters at the top
-// level (flat, for compatibility) plus the service-wide alignment counters —
-// including the memory-degradation ones (mesh_shrinks, planned_fill_tiles vs
-// executed_fill_tiles) — under "alignment".
+// level (flat, for compatibility) plus the service-wide alignment counters
+// under "alignment".
 type statsView struct {
 	fastlsa.EngineStats
 	Alignment fastlsa.CounterSnapshot `json:"alignment"`

@@ -261,12 +261,48 @@ func TestStatsEndpoint(t *testing.T) {
 	if al["cells"].(float64) < 1 {
 		t.Fatalf("alignment work not accumulated into /v1/stats: %v", al)
 	}
-	// The degradation counters must be present (zero is fine: nothing was
-	// memory-constrained here).
-	for _, key := range []string{"mesh_shrinks", "planned_fill_tiles", "executed_fill_tiles"} {
+	// The parallel-fill counters must be present (zero is fine: this
+	// alignment is too small for a parallel fill).
+	for _, key := range []string{"fill_tiles", "phase1_tiles", "phase2_tiles", "phase3_tiles"} {
 		if _, ok := al[key]; !ok {
 			t.Fatalf("alignment stats lack %q: %v", key, al)
 		}
+	}
+}
+
+// TestJobViewResultEvicted: a succeeded job whose result payload aged past
+// MaxRetainedResults says so in its view; the newest job keeps its result
+// and carries no flag.
+func TestJobViewResultEvicted(t *testing.T) {
+	s := newServer(serverConfig{DefaultWorkers: 1, EngineWorkers: 1, QueueDepth: 4,
+		MaxRetained: 4, MaxRetainedResults: 1})
+	defer s.shutdown(context.Background())
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	ids := make([]string, 2)
+	for i := range ids {
+		resp, out := postJSON(t, srv.URL+"/v1/jobs", fmt.Sprintf(`{"type": "align", "align": %s}`, alignBody))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d: %v", i, resp.StatusCode, out)
+		}
+		ids[i] = out["id"].(string)
+		pollJob(t, srv.URL+"/v1/jobs/"+ids[i], "succeeded", 10*time.Second)
+	}
+	// The engine drops the aged payload just after the newest job reports
+	// succeeded, so poll for it.
+	var old map[string]any
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if _, old = doJSON(t, http.MethodGet, srv.URL+"/v1/jobs/"+ids[0], ""); old["result"] == nil {
+			break
+		}
+	}
+	if old["resultEvicted"] != true || old["result"] != nil {
+		t.Errorf("aged job view = %v, want resultEvicted and no result", old)
+	}
+	_, cur := doJSON(t, http.MethodGet, srv.URL+"/v1/jobs/"+ids[1], "")
+	if _, ok := cur["resultEvicted"]; ok || cur["result"] == nil {
+		t.Errorf("newest job view = %v, want its result and no resultEvicted", cur)
 	}
 }
 

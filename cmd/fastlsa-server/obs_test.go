@@ -101,7 +101,7 @@ func TestMetricsExposition(t *testing.T) {
 		"fastlsa_engine_queue_depth",
 		"fastlsa_engine_jobs_submitted_total",
 		"fastlsa_align_cells_total",
-		"fastlsa_align_mesh_shrinks_total",
+		"fastlsa_align_fill_tiles_total",
 		"fastlsa_align_cells_per_second",
 	} {
 		if _, ok := before[name]; !ok {
@@ -526,9 +526,8 @@ func TestCounterOutputsPinned(t *testing.T) {
 	sort.Strings(keys)
 	wantKeys := []string{
 		"base_cases", "cells", "checkpoint_restores", "checkpoint_saves",
-		"executed_fill_tiles", "fill_tiles", "general_cases", "mesh_shrinks",
-		"peak_grid_entries", "phase1_tiles", "phase2_tiles", "phase3_tiles",
-		"planned_fill_tiles", "search_candidates", "search_examined",
+		"fill_tiles", "general_cases", "peak_grid_entries", "phase1_tiles",
+		"phase2_tiles", "phase3_tiles", "search_candidates", "search_examined",
 		"search_scanned", "traceback_steps",
 	}
 	if !reflect.DeepEqual(keys, wantKeys) {
@@ -547,7 +546,6 @@ func TestCounterOutputsPinned(t *testing.T) {
 		"fastlsa_align_base_cases_total":          "counter",
 		"fastlsa_align_general_cases_total":       "counter",
 		"fastlsa_align_fill_tiles_total":          "counter",
-		"fastlsa_align_mesh_shrinks_total":        "counter",
 		"fastlsa_align_checkpoint_saves_total":    "counter",
 		"fastlsa_align_checkpoint_restores_total": "counter",
 		"fastlsa_align_peak_grid_entries":         "gauge",

@@ -133,8 +133,7 @@ type server struct {
 	eng *fastlsa.Engine
 	// metrics accumulates the alignment work of every request served —
 	// each task derives a per-run child from it, so the shared value stays
-	// race-free while /v1/stats can report service-wide counters, the
-	// memory-degradation ones (mesh shrinks) included.
+	// race-free while /v1/stats can report service-wide counters.
 	metrics *fastlsa.Counters
 	// reg is the Prometheus-style registry behind GET /metrics; httpm holds
 	// the per-route HTTP request counters and latency histograms.
@@ -685,8 +684,8 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 // alignTask validates req up front (so bad input is a 400, not a job
 // failure) and returns the engine task that computes the response. rec (when
-// non-nil) is the job's flight recorder, threaded into the run so routing and
-// degradation decisions land on the same timeline as the engine lifecycle;
+// non-nil) is the job's flight recorder, threaded into the run so routing
+// decisions and solver phases land on the same timeline as the engine lifecycle;
 // the Trace, by contrast, is created inside the task, so a retried job's
 // trace covers the final attempt rather than accumulating all of them.
 func (s *server) alignTask(req alignRequest, rec *fastlsa.Recorder) (func(ctx context.Context) (any, error), error) {

@@ -18,6 +18,7 @@ import (
 	"fastlsa/internal/seq"
 	"fastlsa/internal/stats"
 	"fastlsa/internal/testutil"
+	"fastlsa/internal/theory"
 	"fastlsa/internal/wfa"
 )
 
@@ -92,7 +93,11 @@ type confSubject struct {
 	// maxArea, when non-zero, skips cases above m·n = maxArea: the subject
 	// holds a matrix-sized band or wavefront history.
 	maxArea int
-	run     func(c confCase, counters *stats.Counters) (res fm.Result, served string, err error)
+	// planned marks a subject whose FastLSA runs take parameters planned
+	// against the budget (the AlgoAuto contract) rather than c's own, and
+	// parallel one that runs every case on several workers whatever c says.
+	planned, parallel bool
+	run               func(c confCase, counters *stats.Counters) (res fm.Result, served string, err error)
 }
 
 // serves reports whether the subject's capabilities cover the case.
@@ -105,7 +110,7 @@ func (s confSubject) serves(c confCase) bool {
 
 // facadeSubject runs fastlsa.Align with the given algorithm.
 func facadeSubject(name string, algo fastlsa.Algorithm, caps backend.Capabilities) confSubject {
-	return confSubject{name: name, caps: caps, run: func(c confCase, counters *stats.Counters) (fm.Result, string, error) {
+	return confSubject{name: name, caps: caps, planned: algo == fastlsa.AlgoAuto, run: func(c confCase, counters *stats.Counters) (fm.Result, string, error) {
 		var route fastlsa.RouteInfo
 		opt := c.options(counters)
 		opt.Algorithm, opt.Route = algo, &route
@@ -134,7 +139,7 @@ func confSubjects(t testing.TB) []confSubject {
 				s, err := fastlsa.Score(c.a, c.b, c.options(counters))
 				return fm.Result{Score: s}, "score", err
 			}},
-		confSubject{name: "banded/0", run: func(c confCase, counters *stats.Counters) (fm.Result, string, error) {
+		confSubject{name: "banded/0", planned: true, run: func(c confCase, counters *stats.Counters) (fm.Result, string, error) {
 			return banded(c, counters, 0)
 		}},
 		confSubject{name: "banded/wide", maxArea: 1 << 18, run: func(c confCase, counters *stats.Counters) (fm.Result, string, error) {
@@ -151,18 +156,19 @@ func confSubjects(t testing.TB) []confSubject {
 				res, err := wfa.Align(c.a, c.b, c.sys.matrix, c.sys.gap, wfa.Options{Budget: budget, Counters: counters})
 				return res, "wfa/unidirectional", err
 			}},
-		// Parallel FastLSA with a tile mesh on every fill: the facade cannot
-		// set these knobs, and small inputs never reach the parallel fill
-		// without them. The budget must round-trip to zero.
-		confSubject{name: "core/parallel", caps: backend.Capabilities{AffineGaps: true},
+		// Parallel FastLSA with the wavefront on every fill: the facade
+		// cannot set ParallelFillCells, and small inputs never reach the
+		// parallel fill without it. An unset K resolves to 2P = 16. The
+		// budget must round-trip to zero.
+		confSubject{name: "core/parallel", caps: backend.Capabilities{AffineGaps: true}, parallel: true,
 			run: func(c confCase, counters *stats.Counters) (fm.Result, string, error) {
 				budget, err := memory.NewBudget(generousBudget(c.a, c.b))
 				if err != nil {
 					return fm.Result{}, "", err
 				}
 				res, err := core.Align(c.a, c.b, c.sys.matrix, c.sys.gap, core.Options{
-					K: c.k, BaseCells: c.base, Workers: 4, Budget: budget, Counters: counters,
-					TileRows: 2 + c.k%2, TileCols: 2, ParallelFillCells: 1,
+					K: c.k, BaseCells: c.base, Workers: 8, Budget: budget, Counters: counters,
+					ParallelFillCells: 1,
 				})
 				if err == nil && budget.Used() != 0 {
 					err = fmt.Errorf("budget leak: %d entries still reserved", budget.Used())
@@ -204,6 +210,36 @@ func countsEveryCell(served string, c confCase) bool {
 	return dpBackends[served]
 }
 
+// sequentialBound is Theorem 2's recurrence (theory.SequentialCells) for a
+// sequential FastLSA run of c: the most cells the run may count, at the
+// (k, BM) it resolves to. ok is false for runs the recurrence does not
+// model: parallel ones, and ends-free ones, which add a locating sweep.
+func sequentialBound(t *testing.T, s confSubject, c confCase) (bound int64, ok bool) {
+	t.Helper()
+	if s.parallel || c.workers != 1 || !c.mode.IsGlobal() {
+		return 0, false
+	}
+	k, bm := c.k, c.base
+	if s.planned {
+		opt, err := core.PlanOptions(c.a.Len(), c.b.Len(), c.budget, 1, !c.sys.gap.IsLinear(), c.k, c.base)
+		if err != nil {
+			t.Fatalf("%s: %v: plan: %v", s.name, c, err)
+		}
+		k, bm = opt.K, opt.BaseCells
+	}
+	if k == 0 {
+		k = core.DefaultK
+	}
+	if bm == 0 {
+		bm = core.DefaultBaseCells
+	}
+	bound, err := theory.SequentialCells(c.a.Len(), c.b.Len(), k, bm)
+	if err != nil {
+		t.Fatalf("%s: %v: %v", s.name, c, err)
+	}
+	return bound, true
+}
+
 // checkCase runs every subject that serves c against the full-matrix
 // oracle.
 func checkCase(t *testing.T, subjects []confSubject, c confCase) {
@@ -229,6 +265,11 @@ func checkCase(t *testing.T, subjects []confSubject, c confCase) {
 		}
 		if countsEveryCell(served, c) && counters.Cells.Load() < mn {
 			t.Errorf("%s (served by %s): %v: %d cells counted, below m·n = %d", s.name, served, c, counters.Cells.Load(), mn)
+		}
+		if served == backend.NameFastLSA {
+			if bound, ok := sequentialBound(t, s, c); ok && counters.Cells.Load() > bound {
+				t.Errorf("%s: %v: %d cells counted, above Theorem 2's recurrence %d", s.name, c, counters.Cells.Load(), bound)
+			}
 		}
 		if strings.HasPrefix(served, backend.NameWFA) && mn > 0 && !bytes.Equal(c.a.Residues, c.b.Residues) && counters.Cells.Load() == 0 {
 			t.Errorf("%s: %v: no wavefront cells counted", s.name, c)

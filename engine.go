@@ -121,7 +121,7 @@ type JobOptions struct {
 	// Recorder, when non-nil, is the job's flight recorder: the engine logs
 	// lifecycle events (admission, attempt starts, retries, completion) into
 	// it, and the Submit* helpers thread it into the run's Options so routing
-	// decisions, degradation steps and phase completions land on the same
+	// decisions and phase completions land on the same
 	// timeline. Snapshot it with Job.Events. Batch submissions ignore it (a
 	// shared recorder would interleave the units' timelines).
 	Recorder *Recorder

@@ -69,11 +69,7 @@ func main() {
 	fmt.Printf("throughput: %.1f Mcells/s\n", float64(counters.Cells.Load())/elapsed.Seconds()/1e6)
 	fmt.Printf("fill tiles: %d (wavefront phases %d/%d/%d)\n",
 		counters.FillTiles.Load(), counters.Phase1Tiles.Load(), counters.Phase2Tiles.Load(), counters.Phase3Tiles.Load())
-	// Degradation report: under a tight budget the parallel fill shrinks its
-	// tile mesh instead of failing — these counters say how often that
-	// happened.
-	fmt.Printf("memory degradation: %d mesh shrinks, fill tiles planned/executed: %d/%d\n",
-		counters.MeshShrinks.Load(), counters.PlannedFillTiles.Load(), counters.ExecutedFillTiles.Load())
+	fmt.Printf("peak budget entries: %d of %d\n", counters.PeakGridEntries.Load(), *budget)
 
 	// Where the time went, from the recorded spans: total tile-fill time per
 	// wavefront phase (Figure 13: ramp-up / saturated / ramp-down) plus the

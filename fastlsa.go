@@ -57,8 +57,8 @@ type (
 	// TraceSpan is one recorded interval of a Trace.
 	TraceSpan = obs.Span
 	// Recorder is a bounded per-job flight recorder: the engine, router and
-	// solver kernels log admission, retries, routing decisions, degradation
-	// steps and phase completions into it (NewRecorder; nil-safe).
+	// solver kernels log admission, retries, routing decisions and phase
+	// completions into it (NewRecorder; nil-safe).
 	Recorder = obs.Recorder
 	// RecorderEvent is one flight-recorder entry.
 	RecorderEvent = obs.Event
@@ -383,8 +383,10 @@ type Options struct {
 	// Algorithm selects the engine (default AlgoAuto).
 	Algorithm Algorithm
 	// MemoryBudget caps memory in DPM entries (8 bytes each); 0 = unlimited.
-	// Full-matrix runs exceeding the budget fail with memory.ErrExceeded;
-	// FastLSA adapts its parameters to fit.
+	// Runs that outgrow it fail with ErrBudgetExceeded. Under AlgoAuto,
+	// FastLSA plans K and BaseCells to fit it, or fails up front with
+	// ErrBudgetTooSmall; the explicit engines, AlgoFastLSA included, run
+	// with the parameters they are given.
 	MemoryBudget int64
 	// Workers is the parallelism degree P (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
@@ -414,7 +416,7 @@ type Options struct {
 	Route *RouteInfo
 	// Recorder, when non-nil, is the run's flight recorder: the router logs
 	// its decision (and any budget fallback) into it, and the solver kernels
-	// append phase completions and degradation-ladder steps. Per-run state
+	// append phase completions. Per-run state
 	// like Trace; nil-safe and allocation-free when absent.
 	Recorder *Recorder
 	// Checkpoint, when non-nil, persists grid-cache snapshots of the run's

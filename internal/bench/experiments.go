@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"fastlsa/internal/align"
@@ -204,7 +205,7 @@ func ExperimentMemSweep(w io.Writer, n int) error {
 	full := int64(a.Len()+1) * int64(b.Len()+1)
 	const par = 4 // worker count of the parallel series
 	t := NewTable(fmt.Sprintf("E6: adapting to the memory budget RM (m=n~%d, full matrix = %d entries)", n, full),
-		"budget", "pct-of-full", "fm", "fastlsa-ms", "peak", "cells-factor", "p4-ms", "p4-degrade")
+		"budget", "pct-of-full", "fm", "fastlsa-ms", "peak", "cells-factor", "p4-ms")
 	area := float64(a.Len()) * float64(b.Len())
 	for _, frac := range []float64{1.2, 0.5, 0.1, 0.02, 0.005} {
 		budget := int64(frac * float64(full))
@@ -214,7 +215,7 @@ func ExperimentMemSweep(w io.Writer, n int) error {
 		}
 		opt, err := core.SuggestOptions(a.Len(), b.Len(), budget, 1)
 		if err != nil {
-			t.AddRow(budget, fmt.Sprintf("%.1f%%", 100*frac), fmState, "-", "-", "below linear floor", "-", "-")
+			t.AddRow(budget, fmt.Sprintf("%.1f%%", 100*frac), fmState, "-", "-", "below linear floor", "-")
 			continue
 		}
 		m := Run(a, b, wl.Matrix(), Config{
@@ -223,15 +224,14 @@ func ExperimentMemSweep(w io.Writer, n int) error {
 		if m.Err != nil {
 			return fmt.Errorf("budget=%d: %w", budget, m.Err)
 		}
-		// Parallel series at the same budget: the planner charges the tile
-		// mesh, and whatever it could not foresee the runtime absorbs by
-		// shrinking the mesh — the degrade column counts those shrinks.
+		// Parallel series at the same budget: the wavefront fill writes into
+		// the grid lines and needs nothing the sequential plan lacks.
 		popt, perr := core.SuggestOptions(a.Len(), b.Len(), budget, par)
-		parMS, parDegrade := "-", "-"
+		parMS := "-"
 		if perr == nil {
 			pm := Run(a, b, wl.Matrix(), Config{
 				Engine: EngineFastLSA, K: popt.K, BaseCells: popt.BaseCells, Budget: budget,
-				Workers: par, TileRows: popt.TileRows, TileCols: popt.TileCols,
+				Workers: par,
 			})
 			if pm.Err != nil {
 				return fmt.Errorf("budget=%d P=%d: %w", budget, par, pm.Err)
@@ -240,13 +240,12 @@ func ExperimentMemSweep(w io.Writer, n int) error {
 				return fmt.Errorf("budget=%d: parallel score %d != sequential %d", budget, pm.Score, m.Score)
 			}
 			parMS = fmt.Sprintf("%d", pm.Duration.Milliseconds())
-			parDegrade = fmt.Sprintf("%d", pm.Stats[stats.MeshShrinks])
 		}
 		t.AddRow(budget, fmt.Sprintf("%.1f%%", 100*frac), fmState,
-			m.Duration.Milliseconds(), m.PeakMem, float64(m.Stats[stats.Cells])/area, parMS, parDegrade)
+			m.Duration.Milliseconds(), m.PeakMem, float64(m.Stats[stats.Cells])/area, parMS)
 	}
 	t.AddNote("paper shape: FM becomes infeasible below 100%% of the matrix; FastLSA degrades gracefully to linear space")
-	t.AddNote("p4-degrade = mesh shrinks of the P=4 run; scores are checked equal to sequential")
+	t.AddNote("p4-ms = the P=4 run at the same budget; its score is checked equal to the sequential one")
 	return t.Fprint(w)
 }
 
@@ -259,7 +258,10 @@ func ExperimentSpeedup(w io.Writer, sizes []int, workers []int) error {
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4, 8}
 	}
-	t := NewTable(fmt.Sprintf("E7: parallel speedup (host GOMAXPROCS=%d; 'model' replays the tile schedule on P virtual CPUs)", runtime.GOMAXPROCS(0)),
+	// One k for every P, so the speedup column measures parallelism alone:
+	// the k an unset Options.K selects for the largest P.
+	k := max(core.DefaultK, 2*slices.Max(workers))
+	t := NewTable(fmt.Sprintf("E7: parallel speedup (k=%d; host GOMAXPROCS=%d; 'model' replays the tile schedule on P virtual CPUs)", k, runtime.GOMAXPROCS(0)),
 		"size", "engine", "P", "ms", "speedup", "efficiency", "model-speedup")
 	for _, n := range sizes {
 		wl := Workload{Name: fmt.Sprintf("speedup-%d", n), Length: n, Alphabet: seq.DNA, Seed: int64(n) * 3}
@@ -270,7 +272,7 @@ func ExperimentSpeedup(w io.Writer, sizes []int, workers []int) error {
 		for _, engine := range []Engine{EngineFastLSA, EngineFMParallel} {
 			var base float64
 			for _, p := range workers {
-				cfg := Config{Engine: engine, Workers: p, K: 8, BaseCells: core.DefaultBaseCells}
+				cfg := Config{Engine: engine, Workers: p, K: k, BaseCells: core.DefaultBaseCells}
 				m := Run(a, b, wl.Matrix(), cfg)
 				if m.Err != nil {
 					return fmt.Errorf("n=%d %s P=%d: %w", n, engine, p, m.Err)
@@ -283,8 +285,7 @@ func ExperimentSpeedup(w io.Writer, sizes []int, workers []int) error {
 				model := "-"
 				if engine == EngineFastLSA {
 					model = fmt.Sprintf("%.2f", ModelSpeedup(a.Len(), b.Len(), ModelConfig{
-						K: 8, BaseCells: core.DefaultBaseCells, Workers: p,
-						TileRows: 2, TileCols: 2,
+						K: k, BaseCells: core.DefaultBaseCells, Workers: p,
 					}))
 				}
 				t.AddRow(n, string(engine), p, fmt.Sprintf("%.1f", ms),
@@ -302,7 +303,8 @@ func ExperimentEfficiency(w io.Writer, p int, large bool) error {
 	if p == 0 {
 		p = 8
 	}
-	t := NewTable(fmt.Sprintf("E8: parallel efficiency vs problem size (P=%d)", p),
+	k := max(core.DefaultK, 2*p) // the k an unset Options.K selects at P
+	t := NewTable(fmt.Sprintf("E8: parallel efficiency vs problem size (P=%d, k=%d)", p, k),
 		"workload", "seq-ms", "par-ms", "speedup", "efficiency", "model-speedup", "model-eff")
 	for _, wl := range Table3Workloads(large) {
 		if wl.Alphabet != seq.DNA {
@@ -312,18 +314,16 @@ func ExperimentEfficiency(w io.Writer, p int, large bool) error {
 		if err != nil {
 			return err
 		}
-		seqM := Run(a, b, wl.Matrix(), Config{Engine: EngineFastLSA, Workers: 1, K: 8, BaseCells: core.DefaultBaseCells})
+		seqM := Run(a, b, wl.Matrix(), Config{Engine: EngineFastLSA, Workers: 1, K: k, BaseCells: core.DefaultBaseCells})
 		if seqM.Err != nil {
 			return seqM.Err
 		}
-		parM := Run(a, b, wl.Matrix(), Config{Engine: EngineFastLSA, Workers: p, K: 8, BaseCells: core.DefaultBaseCells})
+		parM := Run(a, b, wl.Matrix(), Config{Engine: EngineFastLSA, Workers: p, K: k, BaseCells: core.DefaultBaseCells})
 		if parM.Err != nil {
 			return parM.Err
 		}
 		sp := float64(seqM.Duration) / float64(parM.Duration)
-		model := ModelSpeedup(a.Len(), b.Len(), ModelConfig{
-			K: 8, BaseCells: core.DefaultBaseCells, Workers: p, TileRows: 2, TileCols: 2,
-		})
+		model := ModelSpeedup(a.Len(), b.Len(), ModelConfig{K: k, BaseCells: core.DefaultBaseCells, Workers: p})
 		t.AddRow(wl.Name, seqM.Duration.Milliseconds(), parM.Duration.Milliseconds(),
 			fmt.Sprintf("%.2f", sp), fmt.Sprintf("%.2f", sp/float64(p)),
 			fmt.Sprintf("%.2f", model), fmt.Sprintf("%.2f", model/float64(p)))
@@ -333,7 +333,8 @@ func ExperimentEfficiency(w io.Writer, p int, large bool) error {
 }
 
 // ExperimentTileSweep (E9) regenerates the Figure 13 analysis: phase tile
-// counts and fill time across (k, u, v) tilings at fixed P.
+// counts, recomputation and fill time across k at fixed P. The wavefront
+// tiles of a Fill Cache are its k x k blocks, so R = C = k.
 func ExperimentTileSweep(w io.Writer, n, p int) error {
 	if n == 0 {
 		n = 8000
@@ -346,31 +347,26 @@ func ExperimentTileSweep(w io.Writer, n, p int) error {
 	if err != nil {
 		return err
 	}
+	area := float64(a.Len()) * float64(b.Len())
 	t := NewTable(fmt.Sprintf("E9: tiling and the three wavefront phases (m=n~%d, P=%d)", n, p),
-		"k", "u", "v", "RxC", "phase1", "phase2", "phase3", "tiles-plan/exec", "alpha-bound", "model-speedup", "ms")
-	for _, kuv := range [][3]int{
-		{4, 1, 1}, {4, 2, 2}, {4, 4, 4},
-		{6, 2, 3}, // the Figure 13 configuration
-		{8, 1, 1}, {8, 2, 2}, {8, 4, 4}, {16, 2, 2},
-	} {
-		k, u, v := kuv[0], kuv[1], kuv[2]
+		"k", "RxC", "phase1", "phase2", "phase3", "tiles", "alpha-bound", "model-speedup", "cells-factor", "ms")
+	for _, k := range []int{4, 6, 8, 12, 16, 32} {
 		m := Run(a, b, wl.Matrix(), Config{
-			Engine: EngineFastLSA, K: k, BaseCells: core.DefaultBaseCells,
-			Workers: p, TileRows: u, TileCols: v,
+			Engine: EngineFastLSA, K: k, BaseCells: core.DefaultBaseCells, Workers: p,
 		})
 		if m.Err != nil {
-			return fmt.Errorf("k=%d u=%d v=%d: %w", k, u, v, m.Err)
+			return fmt.Errorf("k=%d: %w", k, m.Err)
 		}
-		R, C := k*u, k*v
-		alpha := TheoremAlpha(p, R, C)
-		model := ModelSpeedup(a.Len(), b.Len(), ModelConfig{K: k, BaseCells: core.DefaultBaseCells, Workers: p, TileRows: u, TileCols: v})
-		t.AddRow(k, u, v, fmt.Sprintf("%dx%d", R, C),
+		model := ModelSpeedup(a.Len(), b.Len(), ModelConfig{K: k, BaseCells: core.DefaultBaseCells, Workers: p})
+		t.AddRow(k, fmt.Sprintf("%dx%d", k, k),
 			m.Stats[stats.Phase1Tiles], m.Stats[stats.Phase2Tiles], m.Stats[stats.Phase3Tiles],
-			fmt.Sprintf("%d/%d", m.Stats[stats.PlannedFillTiles], m.Stats[stats.ExecutedFillTiles]),
-			fmt.Sprintf("%.3f", alpha), fmt.Sprintf("%.2f", model), m.Duration.Milliseconds())
+			m.Stats[stats.FillTiles], fmt.Sprintf("%.3f", TheoremAlpha(p, k, k)),
+			fmt.Sprintf("%.2f", model), fmt.Sprintf("%.4f", float64(m.Stats[stats.Cells])/area),
+			m.Duration.Milliseconds())
 	}
-	t.AddNote("alpha = (1 + (P^2-P)/(R*C))/P from Theorem 4; larger R*C pushes alpha toward 1/P")
-	t.AddNote("tiles-plan/exec diverge only when a tight budget shrinks the fill mesh at run time")
+	t.AddNote("alpha = (1 + (P^2-P)/(R*C))/P from Theorem 4; a larger k pushes alpha toward 1/P and cells-factor toward 1 (Theorem 2)")
+	t.AddNote("phase and tile counts include the parallel base cases (2P x 2P tiles each)")
+	t.AddNote("Figure 13's u=2, v=3 at k=6 (R x C = 12 x 18) is not square and has no R = C = k counterpart")
 	return t.Fprint(w)
 }
 
@@ -381,21 +377,16 @@ func ExperimentBounds(w io.Writer) error {
 	t := NewTable("E11: Theorem bounds (measured cells vs analytical bound)",
 		"config", "cells", "bound", "ok")
 	violated := false
-	for _, tc := range []struct {
-		n, k, p, u, v int
-	}{
-		{1500, 2, 1, 1, 1}, {1500, 4, 1, 1, 1}, {1500, 8, 1, 1, 1},
-		{1500, 4, 4, 2, 2}, {1500, 8, 8, 2, 3}, {3000, 8, 4, 2, 2},
+	for _, tc := range []struct{ n, k, p int }{
+		{1500, 2, 1}, {1500, 4, 1}, {1500, 8, 1},
+		{1500, 4, 4}, {1500, 8, 8}, {3000, 8, 4},
 	} {
 		wl := Workload{Name: "bounds", Length: tc.n, Alphabet: seq.DNA, Seed: int64(tc.n + tc.k)}
 		a, b, err := wl.Generate()
 		if err != nil {
 			return err
 		}
-		m := Run(a, b, wl.Matrix(), Config{
-			Engine: EngineFastLSA, K: tc.k, BaseCells: 256,
-			Workers: tc.p, TileRows: tc.u, TileCols: tc.v,
-		})
+		m := Run(a, b, wl.Matrix(), Config{Engine: EngineFastLSA, K: tc.k, BaseCells: 256, Workers: tc.p})
 		if m.Err != nil {
 			return m.Err
 		}
@@ -482,9 +473,9 @@ func ExperimentTheory(w io.Writer) error {
 	t := NewTable("Appendix A: recurrences vs closed forms vs simulation",
 		"config", "seq-cells(rec)", "seq-bound", "WT(rec)", "WT-bound", "speedup(rec)", "speedup(sim)")
 	for _, tc := range []struct{ n, k, p, u, v int }{
-		{2000, 8, 1, 1, 1}, {2000, 8, 4, 2, 2}, {2000, 8, 8, 2, 2},
+		{2000, 8, 1, 1, 1}, {2000, 8, 4, 1, 1}, {2000, 16, 8, 1, 1},
 		{8000, 6, 8, 2, 3}, // the Figure 13 configuration
-		{8000, 8, 16, 4, 4},
+		{8000, 32, 16, 1, 1},
 	} {
 		const bm = 65536
 		cells, err := theory.SequentialCells(tc.n, tc.n, tc.k, bm)
@@ -499,7 +490,12 @@ func ExperimentTheory(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sim := ModelSpeedup(tc.n, tc.n, ModelConfig{K: tc.k, BaseCells: bm, Workers: tc.p, TileRows: tc.u, TileCols: tc.v})
+		// The simulator replays the implementation's R = C = k schedule,
+		// which has no u x v subdivision to match.
+		sim := "-"
+		if tc.u == 1 && tc.v == 1 {
+			sim = fmt.Sprintf("%.2f", ModelSpeedup(tc.n, tc.n, ModelConfig{K: tc.k, BaseCells: bm, Workers: tc.p}))
+		}
 		t.AddRow(
 			fmt.Sprintf("n=%d k=%d P=%d u=%d v=%d", tc.n, tc.k, tc.p, tc.u, tc.v),
 			cells,
@@ -507,7 +503,7 @@ func ExperimentTheory(w io.Writer) error {
 			int64(wt),
 			int64(theory.ParallelBound(tc.n, tc.n, tc.k, tc.p, tc.u, tc.v)),
 			fmt.Sprintf("%.2f", sp),
-			fmt.Sprintf("%.2f", sim),
+			sim,
 		)
 	}
 	t.AddNote("rec = exact recurrence (Eq. 28 / Theorem 2 shape); bounds = closed forms; sim = list-scheduled tile DAG")

@@ -13,12 +13,12 @@ import (
 // the host.
 
 // ModelConfig describes a Parallel FastLSA configuration for the simulator.
+// Each Fill Cache's wavefront tiles are its k x k blocks, as in the
+// implementation (R = C = k).
 type ModelConfig struct {
 	K         int // grid divisions per dimension
 	BaseCells int // base-case buffer (BM)
 	Workers   int // P
-	TileRows  int // u
-	TileCols  int // v
 }
 
 // SimulateFastLSA replays the FastLSA recursion for an m x n problem under
@@ -39,14 +39,6 @@ func SimulateFastLSA(m, n int, cfg ModelConfig) (parallelTime, totalWork int64) 
 	if p < 1 {
 		p = 1
 	}
-	u := cfg.TileRows
-	if u < 1 {
-		u = 1
-	}
-	v := cfg.TileCols
-	if v < 1 {
-		v = 1
-	}
 	var solve func(rows, cols int) (int64, int64)
 	solve = func(rows, cols int) (int64, int64) {
 		if rows <= 0 || cols <= 0 {
@@ -66,17 +58,10 @@ func SimulateFastLSA(m, n int, cfg ModelConfig) (parallelTime, totalWork int64) 
 		if keff > cols {
 			keff = cols
 		}
-		// Fill Cache over R x C tiles, skipping the bottom-right block.
-		ue, ve := u, v
-		if rows/keff < ue {
-			ue = maxInt(1, rows/keff)
-		}
-		if cols/keff < ve {
-			ve = maxInt(1, cols/keff)
-		}
-		R, C := keff*ue, keff*ve
-		skip := func(ti, tj int) bool { return ti >= (keff-1)*ue && tj >= (keff-1)*ve }
-		fillMS, fillWork := simulateRectFill(rows, cols, p, skip, R, C)
+		// Fill Cache over the keff x keff blocks, skipping the bottom-right
+		// one.
+		skip := func(ti, tj int) bool { return ti == keff-1 && tj == keff-1 }
+		fillMS, fillWork := simulateRectFill(rows, cols, p, skip, keff, keff)
 
 		// Path recursion: worst case 2k-1 subproblems of ~1/k side each,
 		// solved one after another (the loop of Figure 2 is sequential).
@@ -117,13 +102,6 @@ func bounds(n, t int) []int {
 		bs[i] = n * i / t
 	}
 	return bs
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ModelSpeedup returns the simulated speedup of cfg over the same

@@ -8,14 +8,14 @@ import (
 )
 
 func TestSimulateFastLSABasics(t *testing.T) {
-	cfg := bench.ModelConfig{K: 8, BaseCells: 4096, Workers: 1, TileRows: 2, TileCols: 2}
+	cfg := bench.ModelConfig{K: 16, BaseCells: 4096, Workers: 1}
 	par, work := bench.SimulateFastLSA(2000, 2000, cfg)
 	if par != work {
 		t.Fatalf("P=1: parallel time %d != work %d", par, work)
 	}
 	// Work is within the Theorem-2 envelope (plus traceback slack).
 	area := float64(2000 * 2000)
-	bound := area * (64.0 / 49.0) * 1.15
+	bound := area * (256.0 / 225.0) * 1.15
 	if float64(work) > bound {
 		t.Fatalf("model work %d exceeds Theorem-2 envelope %.0f", work, bound)
 	}
@@ -27,7 +27,7 @@ func TestSimulateFastLSABasics(t *testing.T) {
 func TestSimulateFastLSAMonotoneInWorkers(t *testing.T) {
 	prev := int64(1 << 62)
 	for _, p := range []int{1, 2, 4, 8, 16} {
-		cfg := bench.ModelConfig{K: 8, BaseCells: 4096, Workers: p, TileRows: 2, TileCols: 2}
+		cfg := bench.ModelConfig{K: 16, BaseCells: 4096, Workers: p}
 		par, _ := bench.SimulateFastLSA(3000, 3000, cfg)
 		if par > prev {
 			t.Fatalf("P=%d: simulated time %d grew from %d", p, par, prev)
@@ -38,14 +38,14 @@ func TestSimulateFastLSAMonotoneInWorkers(t *testing.T) {
 
 func TestModelSpeedupBounds(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
-		s := bench.ModelSpeedup(4000, 4000, bench.ModelConfig{K: 8, BaseCells: 65536, Workers: p, TileRows: 2, TileCols: 2})
+		s := bench.ModelSpeedup(4000, 4000, bench.ModelConfig{K: 16, BaseCells: 65536, Workers: p})
 		if s <= 1 || s > float64(p) {
 			t.Fatalf("P=%d: model speedup %.2f outside (1, P]", p, s)
 		}
 	}
 	// Larger problems are at least as efficient.
-	s1 := bench.ModelSpeedup(1000, 1000, bench.ModelConfig{K: 8, BaseCells: 4096, Workers: 8, TileRows: 2, TileCols: 2})
-	s2 := bench.ModelSpeedup(8000, 8000, bench.ModelConfig{K: 8, BaseCells: 4096, Workers: 8, TileRows: 2, TileCols: 2})
+	s1 := bench.ModelSpeedup(1000, 1000, bench.ModelConfig{K: 16, BaseCells: 4096, Workers: 8})
+	s2 := bench.ModelSpeedup(8000, 8000, bench.ModelConfig{K: 16, BaseCells: 4096, Workers: 8})
 	if s2 < s1-0.05 {
 		t.Fatalf("efficiency not growing with size: %.2f -> %.2f", s1, s2)
 	}
@@ -75,7 +75,7 @@ func TestTheoremAlpha(t *testing.T) {
 // the work/P lower bound and stays under the Theorem-4 upper bound.
 func TestModelMatchesTheorem4(t *testing.T) {
 	const m, n, p = 4000, 4000, 8
-	cfg := bench.ModelConfig{K: 8, BaseCells: 4096, Workers: p, TileRows: 2, TileCols: 2}
+	cfg := bench.ModelConfig{K: 16, BaseCells: 4096, Workers: p}
 	par, work := bench.SimulateFastLSA(m, n, cfg)
 	if par < work/int64(p) {
 		t.Fatalf("parallel time %d below work/P = %d", par, work/int64(p))

@@ -107,8 +107,6 @@ type Config struct {
 	BaseCells int   // FastLSA BM
 	Workers   int   // P
 	Budget    int64 // RM in entries (0 = unlimited)
-	TileRows  int   // u
-	TileCols  int   // v
 }
 
 // Measurement is the outcome of one run.
@@ -172,8 +170,6 @@ func Run(a, b *seq.Sequence, matrix *scoring.Matrix, cfg Config) Measurement {
 			BaseCells: cfg.BaseCells,
 			Budget:    budget,
 			Workers:   workers,
-			TileRows:  cfg.TileRows,
-			TileCols:  cfg.TileCols,
 			Counters:  &c,
 		})
 		score = res.Score

@@ -77,6 +77,13 @@ func newSolver(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kerne
 	if err := opt.budget.Reserve(charge); err != nil {
 		return nil, fmt.Errorf("core: base case buffer of %d entries: %w", charge, err)
 	}
+	if opt.k == 0 {
+		lanes := int64(1)
+		if mod.IsAffine() {
+			lanes = 2
+		}
+		opt.k = resolveK(a.Len(), b.Len(), opt.workers, lanes, opt.budget.Available())
+	}
 	k := kernel.New(m, mod, opt.pool, opt.c)
 	rt := kernel.Rect{H: opt.pool.GetFull(cells)}
 	if mod.IsAffine() {
@@ -244,12 +251,10 @@ func (s *solver) fillGridCache(grid *gridCache, start int) error {
 }
 
 // fillGridCacheSeq is the sequential block loop of the Fill Cache, from
-// block-row start. It needs no memory beyond the grid lines themselves,
-// which makes it the terminal rung of the parallel fill's degradation
-// ladder: fillGridCacheParallel falls back here when the budget cannot hold
-// even the minimum tile mesh. When this grid is the checkpointed root, a
-// completed block-row is snapshotted into the sink once the cells filled
-// since the last save (or since this fill began) reach ckptEveryCells.
+// block-row start, tracing each block as a fill-block span. When this grid
+// is the checkpointed root, a completed block-row is snapshotted into the
+// sink once the cells filled since the last save (or since this fill began)
+// reach ckptEveryCells.
 func (s *solver) fillGridCacheSeq(grid *gridCache, start int) error {
 	k := grid.k
 	var unsaved int64
@@ -258,9 +263,12 @@ func (s *solver) fillGridCacheSeq(grid *gridCache, start int) error {
 			if u == k-1 && v == k-1 {
 				continue // bottom-right block is solved recursively instead
 			}
+			bt := s.tr.Begin()
 			if err := s.fillBlock(grid, u, v); err != nil {
 				return err
 			}
+			br := grid.blockRect(u, v)
+			s.tr.End(obs.SpanFillBlock, obs.CatFastLSA, bt, obs.Tags{Rows: br.rows(), Cols: br.cols()})
 		}
 		if grid == s.ckptGrid {
 			if unsaved += grid.fillCells(u, u+1); unsaved >= ckptEveryCells {
@@ -275,12 +283,11 @@ func (s *solver) fillGridCacheSeq(grid *gridCache, start int) error {
 // fillBlock computes block (u, v) with a kernel sweep and stores its bottom
 // row into grid.rows[u+1] and right column into grid.cols[v+1] (segments
 // owned by this block: left/top endpoints excluded, they belong to the
-// neighbouring blocks).
+// neighbouring blocks). The sequential block loop and the parallel
+// wavefront fill both run it; each traces it under its own span.
 func (s *solver) fillBlock(grid *gridCache, u, v int) error {
 	t, k := grid.t, grid.k
 	br := grid.blockRect(u, v)
-	bt := s.tr.Begin()
-	defer s.tr.End(obs.SpanFillBlock, obs.CatFastLSA, bt, obs.Tags{Rows: br.rows(), Cols: br.cols()})
 	top := grid.inputRow(u, v, br.c1)
 	left := grid.inputCol(u, v, br.r1)
 

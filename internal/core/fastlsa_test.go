@@ -25,7 +25,8 @@ func TestFigure1(t *testing.T) {
 }
 
 // TestParallelMatchesSequential: Parallel FastLSA must produce exactly the
-// sequential result for every worker count and tiling.
+// sequential result for every worker count and k, the unset K (which rises
+// with the worker count) included.
 func TestParallelMatchesSequential(t *testing.T) {
 	gap := scoring.Linear(-4)
 	m := scoring.DNASimple
@@ -35,17 +36,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
-		for _, uv := range [][2]int{{1, 1}, {2, 3}, {3, 2}, {4, 4}} {
+		for _, k := range []int{0, 2, 4, 6, 16} {
 			got, err := core.Align(a, b, m, gap, core.Options{
-				K: 4, BaseCells: 256, Workers: workers,
-				TileRows: uv[0], TileCols: uv[1],
+				K: k, BaseCells: 256, Workers: workers,
 				ParallelFillCells: 1, // force parallel paths even on small fills
 			})
 			if err != nil {
-				t.Fatalf("P=%d uv=%v: %v", workers, uv, err)
+				t.Fatalf("P=%d K=%d: %v", workers, k, err)
 			}
 			if got.Score != want.Score || !got.Path.Equal(want.Path) {
-				t.Fatalf("P=%d uv=%v: parallel result diverges (score %d vs %d)", workers, uv, got.Score, want.Score)
+				t.Fatalf("P=%d K=%d: parallel result diverges (score %d vs %d)", workers, k, got.Score, want.Score)
 			}
 		}
 	}
@@ -60,7 +60,7 @@ func TestAffineParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := core.Align(a, b, m, gap, core.Options{
-		K: 4, BaseCells: 256, Workers: 4, TileRows: 2, TileCols: 2, ParallelFillCells: 1,
+		K: 4, BaseCells: 256, Workers: 4, ParallelFillCells: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,14 +24,14 @@ func parallelOpts(t *testing.T, entries int64) core.Options {
 	}
 	return core.Options{
 		K: 4, BaseCells: 4096, Budget: budget,
-		Workers: 4, TileRows: 2, TileCols: 2, ParallelFillCells: 1,
+		Workers: 4, ParallelFillCells: 1,
 	}
 }
 
 // TestInjectedTilePanicIsIsolated is the tentpole regression: a panic
 // injected inside a parallel wavefront tile must fail only that run — the
 // error surfaces as a wrapped wavefront.ErrTilePanic, the lane scheduler
-// drains instead of wedging, the mesh reservation is fully released, and the
+// drains instead of wedging, every budget reservation is released, and the
 // very next run on the same budget succeeds with the exact FM score.
 func TestInjectedTilePanicIsIsolated(t *testing.T) {
 	a, b := testutil.HomologousPair(1500, seq.DNA, 7)

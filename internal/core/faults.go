@@ -7,12 +7,12 @@ import "fastlsa/internal/fault"
 // core zero-alloc guard in fault_injection_test.go pins that.
 var (
 	// siteFillTile strikes at the start of every parallel wavefront tile
-	// (fill-cache tiles and parallel base-case tiles alike): an injected
+	// (fill-cache blocks and parallel base-case tiles alike): an injected
 	// panic here rehearses the §5 failure mode the wavefront substrate must
-	// survive — the run fails, the lane scheduler drains, the mesh
+	// survive — the run fails, the lane scheduler drains, every budget
 	// reservation is released.
 	siteFillTile = fault.NewSite("core.fillTile")
-	// siteBaseCase strikes at the start of every base-case solve, including
-	// the sequential path parallel runs degrade to.
+	// siteBaseCase strikes at the start of every base-case solve, sequential
+	// or parallel.
 	siteBaseCase = fault.NewSite("core.baseCase")
 )

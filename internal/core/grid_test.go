@@ -72,41 +72,6 @@ func TestFindSegment(t *testing.T) {
 	}
 }
 
-func TestRefineBoundaries(t *testing.T) {
-	bs := []int{0, 10, 20}
-	got := refineBoundaries(bs, 2)
-	want := []int{0, 5, 10, 15, 20}
-	if len(got) != len(want) {
-		t.Fatalf("refine = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("refine = %v, want %v", got, want)
-		}
-	}
-	// sub=1 is the identity.
-	got = refineBoundaries(bs, 1)
-	if len(got) != 3 || got[1] != 10 {
-		t.Fatalf("identity refine = %v", got)
-	}
-	// Uneven segments refine without duplicates when sub <= min segment.
-	got = refineBoundaries([]int{0, 3, 5}, 2)
-	for i := 0; i+1 < len(got); i++ {
-		if got[i] >= got[i+1] {
-			t.Fatalf("non-increasing refine: %v", got)
-		}
-	}
-}
-
-func TestClampSubAndMinSegment(t *testing.T) {
-	if clampSub(4, 2) != 2 || clampSub(1, 10) != 1 || clampSub(0, 5) != 1 || clampSub(3, 0) != 1 {
-		t.Fatal("clampSub broken")
-	}
-	if minSegment([]int{0, 3, 5, 10}) != 2 {
-		t.Fatal("minSegment broken")
-	}
-}
-
 func TestGridCacheLayout(t *testing.T) {
 	tr := rect{r0: 10, c0: 20, r1: 30, c1: 60}
 	top := kernel.Edge{H: kernel.Boundary(nil, tr.cols(), 5, -1)}  // arbitrary values
@@ -252,7 +217,8 @@ func TestOptionsResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.k != DefaultK || r.baseCells != DefaultBaseCells || r.workers < 1 {
+	// An unset K stays unset until newSolver knows the problem and budget.
+	if r.k != 0 || r.baseCells != DefaultBaseCells || r.workers < 1 {
 		t.Fatalf("defaults = %+v", r)
 	}
 	if _, err := (Options{K: 1}).resolve(); err == nil {
@@ -264,23 +230,7 @@ func TestOptionsResolve(t *testing.T) {
 	if _, err := (Options{Workers: -2}).resolve(); err == nil {
 		t.Fatal("negative workers must fail")
 	}
-	if _, err := (Options{TileRows: -1}).resolve(); err == nil {
-		t.Fatal("negative tile subdivision must fail")
-	}
-	// Tile defaults scale with workers.
-	r, err = Options{Workers: 8, K: 4}.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.tileRows*r.k < 2*8 {
-		t.Fatalf("tile default %d too small for P=8, k=4", r.tileRows)
-	}
-	// Sequential runs keep u = 1.
-	r, err = Options{Workers: 1}.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.tileRows != 1 || r.tileCols != 1 {
-		t.Fatalf("sequential tiles = %d,%d", r.tileRows, r.tileCols)
+	if r, err = (Options{K: 3}).resolve(); err != nil || r.k != 3 {
+		t.Fatalf("explicit K=3 resolved to %d (%v)", r.k, err)
 	}
 }

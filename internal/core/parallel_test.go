@@ -14,28 +14,29 @@ import (
 )
 
 // TestParallelFillMatchesSequential: the wavefront fill writes grid lines
-// identical to the sequential block loop's for every tile subdivision, both
-// gap models, and an unlimited or a tight budget, and returns every entry
-// it reserved. The block-aligned mesh lines are the grid lines themselves,
-// so a tile that published into the wrong line, or a line left unwritten,
-// shows up here.
+// identical to the sequential block loop's for every k, both gap models,
+// and an unlimited or a tight budget, runs one tile per block but the
+// bottom-right one, and reserves nothing. Every block publishes into the
+// grid lines, so a block that wrote the wrong line, or a line left
+// unwritten, shows up here. The last name element is the problem's shape in
+// 30-residue units, so blocks are uneven and non-square.
 func TestParallelFillMatchesSequential(t *testing.T) {
-	a, b := testutil.HomologousPair(90, seq.Protein, 7)
-	const k = 3
 	for _, gap := range []scoring.Gap{scoring.Linear(-4), scoring.Affine(-11, -1)} {
 		for _, tight := range []bool{false, true} {
-			for u := 1; u <= 3; u++ {
-				for v := 1; v <= 3; v++ {
-					name := fmt.Sprintf("%s/tight=%t/%dx%d", gap, tight, u, v)
-					t.Run(name, func(t *testing.T) {
-						seqGrid := fillTestGrid(t, a, b, gap, k, 1, 1, false, false)
-						parGrid := fillTestGrid(t, a, b, gap, k, u, v, tight, true)
-						for i := range seqGrid.rows {
-							if !slices.Equal(parGrid.rows[i].H, seqGrid.rows[i].H) || !slices.Equal(parGrid.rows[i].G, seqGrid.rows[i].G) {
-								t.Fatalf("row line %d differs", i)
-							}
-							if !slices.Equal(parGrid.cols[i].H, seqGrid.cols[i].H) || !slices.Equal(parGrid.cols[i].G, seqGrid.cols[i].G) {
-								t.Fatalf("column line %d differs", i)
+			for mu := 1; mu <= 3; mu++ {
+				for nu := 1; nu <= 3; nu++ {
+					a, b := testutil.RandomPair(30*mu, 30*nu, seq.Protein, int64(10*mu+nu))
+					t.Run(fmt.Sprintf("%s/tight=%t/%dx%d", gap, tight, mu, nu), func(t *testing.T) {
+						for _, k := range []int{2, 3, 5, 8, 16} {
+							seqGrid := fillTestGrid(t, a, b, gap, k, tight, false)
+							parGrid := fillTestGrid(t, a, b, gap, k, tight, true)
+							for i := range seqGrid.rows {
+								if !slices.Equal(parGrid.rows[i].H, seqGrid.rows[i].H) || !slices.Equal(parGrid.rows[i].G, seqGrid.rows[i].G) {
+									t.Fatalf("k=%d: row line %d differs", k, i)
+								}
+								if !slices.Equal(parGrid.cols[i].H, seqGrid.cols[i].H) || !slices.Equal(parGrid.cols[i].G, seqGrid.cols[i].G) {
+									t.Fatalf("k=%d: column line %d differs", k, i)
+								}
 							}
 						}
 					})
@@ -46,11 +47,10 @@ func TestParallelFillMatchesSequential(t *testing.T) {
 }
 
 // fillTestGrid fills the root grid cache of a vs b once, with the wavefront
-// fill over a u x v subdivision (parallel) or the sequential block loop,
-// and returns a copy of its lines. A tight budget holds the grid and base
-// buffer with nothing to spare, so the wavefront fill must shrink to the
-// 1 x 1 mesh, which costs nothing.
-func fillTestGrid(t *testing.T, a, b *seq.Sequence, gap scoring.Gap, k, u, v int, tight, parallel bool) *gridCache {
+// fill (parallel) or the sequential block loop, and returns a copy of its
+// lines. A tight budget holds the grid and base buffer with nothing to
+// spare, which the wavefront fill must not need.
+func fillTestGrid(t *testing.T, a, b *seq.Sequence, gap scoring.Gap, k int, tight, parallel bool) *gridCache {
 	t.Helper()
 	mod := kernel.FromGap(gap)
 	var budget *memory.Budget
@@ -66,8 +66,7 @@ func fillTestGrid(t *testing.T, a, b *seq.Sequence, gap scoring.Gap, k, u, v int
 		}
 	}
 	var c stats.Counters
-	r, err := Options{K: k, BaseCells: MinBaseCells, Budget: budget, Workers: 3,
-		TileRows: u, TileCols: v, Counters: &c}.resolve()
+	r, err := Options{K: k, BaseCells: MinBaseCells, Budget: budget, Workers: 3, Counters: &c}.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +96,10 @@ func fillTestGrid(t *testing.T, a, b *seq.Sequence, gap scoring.Gap, k, u, v int
 		t.Fatal(err)
 	}
 	if got := budget.Used(); got != before {
-		t.Fatalf("fill leaked %d budget entries", got-before)
+		t.Fatalf("fill changed the budget's use by %d entries", got-before)
 	}
-	snap := c.Snapshot()
-	if parallel {
-		if want := int64(k*k - 1); tight && snap[stats.ExecutedFillTiles] != want {
-			t.Fatalf("tight budget executed %d tiles, want the %d of the 1x1 mesh", snap[stats.ExecutedFillTiles], want)
-		}
-		if shrank := tight && (u > 1 || v > 1); (snap[stats.MeshShrinks] == 1) != shrank {
-			t.Fatalf("mesh shrinks %d, want shrink=%t", snap[stats.MeshShrinks], shrank)
-		}
+	if want := int64(k*k - 1); parallel && c.FillTiles.Load() != want {
+		t.Fatalf("parallel fill ran %d tiles, want the %d blocks of a %dx%d grid less the bottom-right one", c.FillTiles.Load(), want, k, k)
 	}
 	out := &gridCache{rows: make([]kernel.Edge, k), cols: make([]kernel.Edge, k)}
 	for i := 0; i < k; i++ {
@@ -118,4 +111,75 @@ func fillTestGrid(t *testing.T, a, b *seq.Sequence, gap scoring.Gap, k, u, v int
 		t.Fatalf("budget holds %d entries after the grid is freed", budget.Used())
 	}
 	return out
+}
+
+// TestUnsetKRisesWithWorkers: with K unset, P = 8 workers resolve k to
+// 2P = 16 when the budget holds that grid, so the root fill runs 16·16-1
+// block tiles, and to DefaultK when it does not; either way the path is the
+// sequential one byte for byte.
+func TestUnsetKRisesWithWorkers(t *testing.T) {
+	a, b := testutil.HomologousPair(1000, seq.DNA, 5)
+	gap := scoring.Linear(-4)
+	mod := kernel.FromGap(gap)
+	want, err := Align(a, b, scoring.DNASimple, gap, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The default base buffer, then room for k = 8's grid but not k = 16's.
+	small := int64(DefaultBaseCells) + gridNeed(a.Len(), b.Len(), DefaultK, 1)
+	if small >= int64(DefaultBaseCells)+gridNeed(a.Len(), b.Len(), 16, 1) {
+		t.Fatal("the small budget also fits k = 16")
+	}
+	for _, tc := range []struct {
+		name   string
+		budget int64 // 0 = unlimited
+		k      int
+	}{
+		{"unlimited", 0, 16},
+		{"fits-k16", 1 << 20, 16},
+		{"fits-k8-only", small, DefaultK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var budget *memory.Budget
+			if tc.budget > 0 {
+				var err error
+				if budget, err = memory.NewBudget(tc.budget); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var c stats.Counters
+			opt := Options{Workers: 8, Budget: budget, Counters: &c}
+			r, err := opt.resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newSolver(a, b, scoring.DNASimple, gap, mod, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := s.opt.k
+			s.close()
+			if k != tc.k {
+				t.Fatalf("K unset at P=8 resolved to k=%d, want %d", k, tc.k)
+			}
+			got, err := Align(a, b, scoring.DNASimple, gap, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The root is the only general case: its blocks fit the base
+			// buffer and are too small for a parallel base case.
+			if n := c.GeneralCases.Load(); n != 1 {
+				t.Fatalf("%d general cases, want the root alone", n)
+			}
+			if n, want := c.FillTiles.Load(), int64(tc.k*tc.k-1); n != want {
+				t.Fatalf("root fill ran %d tiles, want %d", n, want)
+			}
+			if got.Score != want.Score || !got.Path.Equal(want.Path) {
+				t.Fatalf("P=8 path differs from the sequential one (score %d vs %d)", got.Score, want.Score)
+			}
+			if budget.Used() != 0 {
+				t.Fatalf("budget holds %d entries after the run", budget.Used())
+			}
+		})
+	}
 }

@@ -8,50 +8,47 @@ import (
 	"fastlsa/internal/memory"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
-	"fastlsa/internal/stats"
 	"fastlsa/internal/testutil"
 )
 
-// TestParallelBudgetExhaustion: under a budget that admits the grid but not
-// the full parallel mesh the fill shrinks the mesh and still returns the
-// sequential path, with nothing left charged; under a budget below the root
-// grid the run fails cleanly (ErrExceeded or ErrBudgetTooSmall, no leak).
+// TestParallelBudgetExhaustion: a parallel run fits in exactly the peak a
+// sequential run reserves (the wavefront fill writes into the grid lines and
+// reserves nothing of its own) and returns the sequential path with nothing
+// left charged; under a budget below the root grid the run fails cleanly
+// (ErrExceeded or ErrBudgetTooSmall, no leak).
 func TestParallelBudgetExhaustion(t *testing.T) {
 	a, b := testutil.HomologousPair(1200, seq.DNA, 41)
 	gap := scoring.Linear(-4)
-	run := func(entries int64) (core.Result, *memory.Budget, *stats.Counters, error) {
+	run := func(entries int64, workers int) (core.Result, *memory.Budget, error) {
 		budget, err := memory.NewBudget(entries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var c stats.Counters
 		res, err := core.Align(a, b, scoring.DNASimple, gap, core.Options{
-			K: 4, BaseCells: core.MinBaseCells, Budget: budget, Counters: &c,
-			Workers: 4, TileRows: 4, TileCols: 4, ParallelFillCells: 1,
+			K: 4, BaseCells: core.MinBaseCells, Budget: budget,
+			Workers: workers, ParallelFillCells: 1,
 		})
-		return res, budget, &c, err
+		return res, budget, err
 	}
-	lines := int64(a.Len() + b.Len())
 
-	res, budget, c, err := run(int64(core.MinBaseCells) + 10*lines)
-	if err != nil {
-		t.Fatalf("mesh-shrinking budget failed: %v", err)
-	}
-	if c.MeshShrinks.Load() == 0 {
-		t.Fatal("budget fit the full mesh: no shrink was exercised")
-	}
-	if budget.Used() != 0 {
-		t.Fatalf("leak after a shrunken parallel run: %d", budget.Used())
-	}
-	want, err := core.Align(a, b, scoring.DNASimple, gap, core.Options{K: 4, BaseCells: core.MinBaseCells, Workers: 1})
+	want, seqBudget, err := run(1<<30, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	peak := seqBudget.Peak()
+	res, budget, err := run(peak, 4)
+	if err != nil {
+		t.Fatalf("parallel run under the sequential peak of %d entries failed: %v", peak, err)
+	}
+	if budget.Used() != 0 {
+		t.Fatalf("leak after a parallel run: %d", budget.Used())
+	}
 	if res.Score != want.Score || !res.Path.Equal(want.Path) {
-		t.Fatal("shrunken parallel run differs from the sequential path")
+		t.Fatal("parallel run differs from the sequential path")
 	}
 
-	_, budget, _, err = run(int64(core.MinBaseCells) + 2*lines)
+	lines := int64(a.Len() + b.Len())
+	_, budget, err = run(int64(core.MinBaseCells)+2*lines, 4)
 	if err == nil {
 		t.Fatal("budget below the root grid succeeded")
 	}

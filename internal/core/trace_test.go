@@ -23,8 +23,7 @@ func TestAlignTraceSpans(t *testing.T) {
 	tr := obs.NewTrace(0)
 	tr.SetLabel("core-trace-test")
 	res, err := core.Align(a, b, m, gap, core.Options{
-		K: 4, BaseCells: 256, Workers: 4,
-		TileRows: 4, TileCols: 4,
+		K: 16, BaseCells: 256, Workers: 4,
 		ParallelFillCells: 1, // force the parallel fill path
 		Obs:               obs.Run{Trace: tr},
 	})
@@ -62,6 +61,11 @@ func TestAlignTraceSpans(t *testing.T) {
 		if byName[name] == 0 {
 			t.Errorf("no %q spans recorded (totals: %v)", name, byName)
 		}
+	}
+	// Every fill ran on the wavefront, whose tiles are traced as fill-tile
+	// spans only.
+	if byName[obs.SpanFillBlock] != 0 {
+		t.Errorf("parallel run recorded %d fill-block spans", byName[obs.SpanFillBlock])
 	}
 	// A 16x16 tile wavefront under 4 workers has all three Figure 13 phases.
 	for phase := 1; phase <= 3; phase++ {

@@ -14,8 +14,7 @@ import (
 
 // siteReserve is the fault-injection point on every budget reservation: an
 // injected error rehearses a lost budget race (Reserve fails with a
-// transient, retryable error; TryReserve reports false), even on the
-// nil/unlimited budget.
+// transient, retryable error), even on the nil/unlimited budget.
 var siteReserve = fault.NewSite("memory.reserve")
 
 // Budget tracks allocation of DPM-entry-sized units against a fixed total.
@@ -71,33 +70,6 @@ func (b *Budget) Reserve(n int64) error {
 		if b.used.CompareAndSwap(cur, next) {
 			b.observePeak(next)
 			return nil
-		}
-	}
-}
-
-// TryReserve claims n units if they are available, reporting whether the
-// claim succeeded. It is the primitive behind graceful degradation: callers
-// with a smaller fallback plan probe with TryReserve instead of treating
-// ErrExceeded as fatal. Negative sizes always fail. Safe for concurrent use.
-func (b *Budget) TryReserve(n int64) bool {
-	if n < 0 {
-		return false
-	}
-	if siteReserve.Hit() != nil {
-		return false
-	}
-	if b == nil {
-		return true
-	}
-	for {
-		cur := b.used.Load()
-		next := cur + n
-		if next > b.total {
-			return false
-		}
-		if b.used.CompareAndSwap(cur, next) {
-			b.observePeak(next)
-			return true
 		}
 	}
 }

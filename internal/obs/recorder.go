@@ -27,10 +27,6 @@ const (
 	// is the span name (grid-fill, traceback, wfa-fill, …), Extra the span
 	// category, Duration the phase's wall time.
 	EvPhase = "phase"
-	// EvMeshShrink marks the degradation ladder shrinking a parallel fill's
-	// tile mesh under memory pressure. Detail is "UxV->uxv" (requested ->
-	// granted subdivision).
-	EvMeshShrink = "degrade.mesh-shrink"
 	// EvRoute records the aligner-backend routing decision. Detail is the
 	// backend, Extra the reason, Value the q-gram identity estimate when one
 	// was computed (0 otherwise).

@@ -18,9 +18,9 @@ import (
 // exported field is one counter, named by the ID of the same name; add to
 // it with Add. Reading a field directly (Cells.Load()) is fine.
 type Counters struct {
-	Cells, TracebackSteps, BaseCases, GeneralCases, FillTiles, PeakGridEntries              atomic.Int64
-	Phase1Tiles, Phase2Tiles, Phase3Tiles, MeshShrinks, PlannedFillTiles, ExecutedFillTiles atomic.Int64
-	SearchScanned, SearchCandidates, SearchExamined, CheckpointSaves, CheckpointRestores    atomic.Int64
+	Cells, TracebackSteps, BaseCases, GeneralCases, FillTiles, PeakGridEntries           atomic.Int64
+	Phase1Tiles, Phase2Tiles, Phase3Tiles                                                atomic.Int64
+	SearchScanned, SearchCandidates, SearchExamined, CheckpointSaves, CheckpointRestores atomic.Int64
 
 	// cancelDone and cancelCtx carry the run's cancellation signal
 	// (AttachContext). The kernels poll Cancelled between row sweeps; a nil
@@ -49,9 +49,6 @@ const (
 	Phase1Tiles                  // wavefront tiles in Figure 13's ramp-up (diagonals of < P tiles)
 	Phase2Tiles                  // wavefront tiles in Figure 13's saturated middle
 	Phase3Tiles                  // wavefront tiles in Figure 13's ramp-down
-	MeshShrinks                  // parallel fills whose tile mesh shrank to fit the budget
-	PlannedFillTiles             // tiles the requested (u, v) subdivision would have run
-	ExecutedFillTiles            // tiles that ran after budget-driven shrinking (equal: none degraded)
 	SearchScanned                // database entries a corpus search considered
 	SearchCandidates             // entries that survived the q-gram seed filter
 	SearchExamined               // entries the exact kernel scored at the verify stage
@@ -102,10 +99,6 @@ var table = [numIDs]Desc{
 	Phase1Tiles: {"phase1_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.Phase1Tiles }, ""},
 	Phase2Tiles: {"phase2_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.Phase2Tiles }, ""},
 	Phase3Tiles: {"phase3_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.Phase3Tiles }, ""},
-	MeshShrinks: {"mesh_shrinks", "fastlsa_align_mesh_shrinks_total", false, func(c *Counters) *atomic.Int64 { return &c.MeshShrinks },
-		"Parallel fills that shrank their mesh to fit the memory budget."},
-	PlannedFillTiles:  {"planned_fill_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.PlannedFillTiles }, ""},
-	ExecutedFillTiles: {"executed_fill_tiles", "", false, func(c *Counters) *atomic.Int64 { return &c.ExecutedFillTiles }, ""},
 	SearchScanned: {"search_scanned", "fastlsa_search_scanned_total", false, func(c *Counters) *atomic.Int64 { return &c.SearchScanned },
 		"Database entries considered by corpus searches."},
 	SearchCandidates: {"search_candidates", "fastlsa_search_candidates_total", false, func(c *Counters) *atomic.Int64 { return &c.SearchCandidates },

@@ -12,12 +12,14 @@ import "fmt"
 // SequentialCells evaluates the worst-case cell-count recurrence of
 // sequential FastLSA exactly:
 //
-//	T(m, n) = (m+1)(n+1)            if (m+1)(n+1) <= bm  (base case)
-//	T(m, n) = m*n + (2k-1) * T(m/k, n/k)   otherwise     (fill + path blocks)
+//	T(m, n) = m*n                   if (m+1)(n+1) <= bm  (base case)
+//	T(m, n) = m*n + (2k-1) * T(⌈m/k⌉, ⌈n/k⌉)   otherwise (fill + path blocks)
 //
-// This is Equation 6's shape with the base case made explicit. The result
-// upper-bounds what the implementation's Cells counter reports for the same
-// (m, n, k, bm): real paths cross at most 2k-1 blocks and usually fewer.
+// This is Equation 6's shape with the base case made explicit and the
+// largest block of an uneven split (sizes not divisible by k) as the
+// subproblem. The result upper-bounds what the implementation's Cells
+// counter reports for the same (m, n, k, bm): real paths cross at most 2k-1
+// blocks, none larger than ⌈m/k⌉ x ⌈n/k⌉, and usually fewer.
 func SequentialCells(m, n, k, bm int) (int64, error) {
 	if err := checkParams(m, n, k); err != nil {
 		return 0, err
@@ -42,7 +44,7 @@ func seqCells(m, n, k, bm int) int64 {
 	if keff > n {
 		keff = n
 	}
-	return int64(m)*int64(n) + int64(2*keff-1)*seqCells(m/keff, n/keff, k, bm)
+	return int64(m)*int64(n) + int64(2*keff-1)*seqCells(ceilDiv(m, keff), ceilDiv(n, keff), k, bm)
 }
 
 // SequentialBound is Theorem 2's closed form: T(m,n) <= m*n * (k/(k-1))^2.
@@ -62,7 +64,7 @@ func Alpha(p, r, c int) float64 {
 
 // ParallelTime evaluates Equation 28 exactly:
 //
-//	WT(m, n) = m*n*alpha + (2k-1) * WT(m/k, n/k)
+//	WT(m, n) = m*n*alpha + (2k-1) * WT(⌈m/k⌉, ⌈n/k⌉)
 //
 // terminating in the parallel base case (Equation 33, also m*n*alpha). The
 // unit is "sequential cell times"; dividing total work by this gives the
@@ -103,7 +105,7 @@ func parTime(m, n, k, p, u, v, bm int) float64 {
 		c = n
 	}
 	fill := float64(m) * float64(n) * Alpha(p, r, c)
-	return fill + float64(2*keff-1)*parTime(m/keff, n/keff, k, p, u, v, bm)
+	return fill + float64(2*keff-1)*parTime(ceilDiv(m, keff), ceilDiv(n, keff), k, p, u, v, bm)
 }
 
 // ParallelBound is Theorem 4's closed form:
@@ -179,3 +181,7 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
+
+// ceilDiv is ⌈a/b⌉ for a >= 0, b > 0: the largest segment when a is split
+// into b near-equal parts.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -28,14 +28,11 @@ func TestBatchSurvivesTileFillPanics(t *testing.T) {
 	defer fault.Disarm()
 
 	// Size each unit so an attempt crosses the injection point a handful of
-	// times: a 200x200 problem with K=2 and a 1x1 tile subdivision runs one
-	// parallel grid fill of 3 tiles (2x2 minus the skipped bottom-right
-	// block), while ParallelFillCells keeps every recursive subproblem on the
-	// sequential paths.
-	opt := core.Options{
-		K: 2, BaseCells: 4096, Workers: 2,
-		TileRows: 1, TileCols: 1, ParallelFillCells: 20000,
-	}
+	// times: a 200x200 problem with K=2 runs one parallel grid fill of 3
+	// tiles (2x2 blocks minus the skipped bottom-right one), while
+	// ParallelFillCells keeps every recursive subproblem on the sequential
+	// paths.
+	opt := core.Options{K: 2, BaseCells: 4096, Workers: 2, ParallelFillCells: 20000}
 	gap := scoring.Linear(-4)
 
 	const units = 100
