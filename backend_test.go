@@ -372,3 +372,67 @@ func TestWFADifferentialFacade(t *testing.T) {
 		})
 	}
 }
+
+// TestEntryRoutes: every facade entry point routes once, before its first
+// cell. Each fills Options.Route and records exactly one backend.route span
+// and one route event; the kinds that run no backend report none.
+func TestEntryRoutes(t *testing.T) {
+	a, b := divergencePair(t, 300, 0.10, 81)
+	for _, tc := range []struct {
+		name            string
+		algo            fastlsa.Algorithm
+		run             func(fastlsa.Options) error
+		backend, reason string
+	}{
+		{"align", fastlsa.AlgoAuto, func(o fastlsa.Options) error {
+			_, err := fastlsa.Align(a, b, o)
+			return err
+		}, backend.NameFastLSA, backend.ReasonHighDivergence},
+		{"local", fastlsa.AlgoAuto, func(o fastlsa.Options) error {
+			_, err := fastlsa.AlignLocal(a, b, o)
+			return err
+		}, backend.NameFastLSA, backend.ReasonLocal},
+		{"local/fm", fastlsa.AlgoFullMatrix, func(o fastlsa.Options) error {
+			_, err := fastlsa.AlignLocal(a, b, o)
+			return err
+		}, backend.NameFullMatrix, backend.ReasonExplicit},
+		{"banded/0", fastlsa.AlgoAuto, func(o fastlsa.Options) error {
+			_, err := fastlsa.AlignBanded(a, b, o, 0)
+			return err
+		}, backend.NameFastLSA, backend.ReasonBanded},
+		{"banded/40", fastlsa.AlgoAuto, func(o fastlsa.Options) error {
+			_, err := fastlsa.AlignBanded(a, b, o, 40)
+			return err
+		}, "", backend.ReasonBanded},
+		{"score", fastlsa.AlgoHirschberg, func(o fastlsa.Options) error {
+			_, err := fastlsa.Score(a, b, o)
+			return err
+		}, "", backend.ReasonScoreOnly},
+	} {
+		var route fastlsa.RouteInfo
+		tr, rec := fastlsa.NewTrace(0), fastlsa.NewRecorder(0)
+		if err := tc.run(fastlsa.Options{
+			Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4), Algorithm: tc.algo,
+			Route: &route, Trace: tr, Recorder: rec,
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if route.Backend != tc.backend || route.Reason != tc.reason {
+			t.Errorf("%s: route %+v, want %s/%s", tc.name, route, tc.backend, tc.reason)
+		}
+		spans, events := 0, 0
+		for _, s := range tr.Spans() {
+			if s.Name == fastlsa.SpanNameBackendRoute {
+				spans++
+			}
+		}
+		for _, e := range rec.Snapshot().Events {
+			if e.Kind == obs.EvRoute {
+				events++
+			}
+		}
+		if spans != 1 || events != 1 {
+			t.Errorf("%s: %d backend.route spans and %d route events, want 1 and 1", tc.name, spans, events)
+		}
+	}
+}

@@ -1,8 +1,11 @@
 package fastlsa_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"fastlsa"
 )
@@ -72,5 +75,82 @@ func TestAutoParallelTightBudget(t *testing.T) {
 	}
 	if c.FillTiles.Load() == 0 {
 		t.Fatalf("no parallel fill ran (counters: %v)", c.Snapshot())
+	}
+}
+
+// TestExplicitInfeasibleRefusedUpFront: an explicit FastLSA run whose Base
+// Case buffer and first grid descent cannot fit the budget is refused with
+// ErrBudgetTooSmall before its first cell, on every entry that runs
+// FastLSA; an engine job does not retry the refusal; AlgoAuto plans the
+// same problem into the same budget.
+func TestExplicitInfeasibleRefusedUpFront(t *testing.T) {
+	a, b, err := fastlsa.HomologousPair(8000, fastlsa.DNA, fastlsa.MutationModel{
+		SubstitutionRate: 0.04, InsertionRate: 0.005, DeletionRate: 0.005,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	options := func(c *fastlsa.Counters) fastlsa.Options {
+		return fastlsa.Options{
+			Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4), Algorithm: fastlsa.AlgoFastLSA,
+			MemoryBudget: 200_000, Workers: 1, Counters: c,
+		}
+	}
+	for name, run := range map[string]func(fastlsa.Options) error{
+		"align": func(o fastlsa.Options) error {
+			_, err := fastlsa.Align(a, b, o)
+			return err
+		},
+		"banded/0": func(o fastlsa.Options) error {
+			_, err := fastlsa.AlignBanded(a, b, o, 0)
+			return err
+		},
+	} {
+		var c fastlsa.Counters
+		if err := run(options(&c)); !errors.Is(err, fastlsa.ErrBudgetTooSmall) || c.Cells.Load() != 0 {
+			t.Errorf("%s: %v after %d cells, want ErrBudgetTooSmall at 0 cells", name, err, c.Cells.Load())
+		}
+	}
+
+	en := fastlsa.NewEngine(fastlsa.EngineConfig{Workers: 1, QueueDepth: 1})
+	defer en.Shutdown(context.Background())
+	job, err := en.SubmitAlign(a, b, options(nil), fastlsa.JobOptions{Retry: fastlsa.RetryPolicy{
+		MaxAttempts: 3, BaseDelay: time.Millisecond, RetryOn: fastlsa.RetryTransient,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := job.Wait(ctx); !errors.Is(err, fastlsa.ErrBudgetTooSmall) {
+		t.Fatalf("engine job: %v, want ErrBudgetTooSmall", err)
+	}
+	if got := job.Info().Attempts; got != 1 {
+		t.Fatalf("engine job made %d attempts, want 1: the refusal is deterministic", got)
+	}
+
+	auto := options(nil)
+	auto.Algorithm = fastlsa.AlgoAuto
+	if _, err := fastlsa.Align(a, b, auto); err != nil {
+		t.Fatalf("AlgoAuto under the same budget: %v", err)
+	}
+}
+
+// TestAlignMSAPlansAgainstInputs: AlignMSA plans its pairwise FastLSA runs
+// against its two longest inputs, so AlgoAuto fits a budget that each pair
+// fits under AlgoAuto.
+func TestAlignMSAPlansAgainstInputs(t *testing.T) {
+	seqs := make([]*fastlsa.Sequence, 3)
+	for i := range seqs {
+		seqs[i] = fastlsa.RandomSequence(fmt.Sprintf("s%d", i), 4000, fastlsa.DNA, int64(i+1))
+	}
+	res, err := fastlsa.AlignMSA(seqs, fastlsa.Options{
+		Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4), MemoryBudget: 100_000, Workers: 1,
+	})
+	if err != nil {
+		t.Fatalf("AlignMSA under a 100,000-entry budget: %v", err)
+	}
+	if len(res.Rows) != len(seqs) {
+		t.Fatalf("%d rows, want %d", len(res.Rows), len(seqs))
 	}
 }

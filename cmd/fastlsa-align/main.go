@@ -83,6 +83,7 @@ func run(matrixName, alphaName, algoName, modeName string, gapPen, open, extend,
 	}
 
 	var counters fastlsa.Counters
+	var route fastlsa.RouteInfo
 	opt := fastlsa.Options{
 		Matrix:       matrix,
 		Gap:          gap,
@@ -93,6 +94,7 @@ func run(matrixName, alphaName, algoName, modeName string, gapPen, open, extend,
 		K:            kParam,
 		BaseCells:    baseCells,
 		Counters:     &counters,
+		Route:        &route,
 	}
 	var tr *fastlsa.Trace
 	if tracePath != "" {
@@ -138,8 +140,6 @@ func run(matrixName, alphaName, algoName, modeName string, gapPen, open, extend,
 			return err
 		}
 	default:
-		var route fastlsa.RouteInfo
-		opt.Route = &route
 		al, err := fastlsa.Align(a, b, opt)
 		if err != nil {
 			return err
@@ -148,12 +148,12 @@ func run(matrixName, alphaName, algoName, modeName string, gapPen, open, extend,
 			return err
 		}
 		fmt.Printf("cigar: %s\n", al.Path.CIGAR())
-		if showStats && route.Backend != "" {
-			fmt.Printf("backend: %s (%s)\n", route.Backend, route.Reason)
-		}
 	}
 
 	if showStats {
+		if route.Backend != "" {
+			fmt.Printf("backend: %s (%s)\n", route.Backend, route.Reason)
+		}
 		fmt.Printf("stats: %s\n", counters.Snapshot())
 	}
 	if tr != nil {

@@ -161,13 +161,16 @@ func (s *server) journalledView(id string) (jobView, bool) {
 	if !ok {
 		return jobView{}, false
 	}
+	finished := rec.Finished
 	return jobView{
-		ID:       rec.ID,
-		Kind:     rec.Kind,
-		Priority: rec.Priority,
-		State:    rec.State,
-		Attempts: rec.Attempts,
-		Error:    rec.Error,
+		ID:        rec.ID,
+		Kind:      rec.Kind,
+		Priority:  rec.Priority,
+		State:     rec.State,
+		Submitted: rec.Accepted,
+		Finished:  &finished,
+		Attempts:  rec.Attempts,
+		Error:     rec.Error,
 		// The journal keeps no result payloads.
 		ResultEvicted: rec.State == fastlsa.JobSucceeded.String(),
 	}, true

@@ -394,6 +394,13 @@ func TestJournalPersistsAcrossCleanRestart(t *testing.T) {
 	if out["result"] != nil || out["resultEvicted"] != true {
 		t.Fatalf("journalled view %v, want resultEvicted and no result", out)
 	}
+	// The accepted and terminal records carry the job's submission and
+	// finish times.
+	submitted, serr := time.Parse(time.RFC3339Nano, fmt.Sprint(out["submitted"]))
+	finished, ferr := time.Parse(time.RFC3339Nano, fmt.Sprint(out["finished"]))
+	if serr != nil || ferr != nil || submitted.IsZero() || finished.Before(submitted) {
+		t.Fatalf("journalled view submitted %v, finished %v, want both set in order", out["submitted"], out["finished"])
+	}
 }
 
 func doRequest(t *testing.T, req *http.Request) (*http.Response, map[string]any) {

@@ -273,7 +273,7 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 		"Units per admitted POST /v1/batch request.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 	s.backendTotal = s.reg.CounterVec("fastlsa_backend_total",
-		"Global alignments served, by aligner backend and routing reason.",
+		"Global and local alignments served, by aligner backend and routing reason.",
 		"backend", "reason")
 	s.queueWait = s.reg.Histogram("fastlsa_engine_queue_wait_seconds",
 		"Queue wait per job attempt, observed at worker pickup.",
@@ -634,12 +634,12 @@ type alignResponse struct {
 	RowB       string     `json:"rowB,omitempty"`
 	Local      *localSpan `json:"local,omitempty"`
 	CellsSpent int64      `json:"cellsComputed"`
-	// Backend and RouteReason report which aligner backend served a global
-	// run and why it was chosen ("explicit" for a forced algorithm,
-	// AlgoAuto's divergence verdict otherwise; docs/BACKENDS.md). Omitted
-	// for local runs, which do not route. RouteIdentity is the q-gram
-	// identity estimate that drove a divergence verdict (omitted when no
-	// estimate was made — forced algorithms, short pairs).
+	// Backend and RouteReason report which aligner backend served the run
+	// and why it was chosen ("explicit" for a forced algorithm, "local" for
+	// an AlgoAuto local run, AlgoAuto's divergence verdict otherwise;
+	// docs/BACKENDS.md). RouteIdentity is the q-gram identity estimate that
+	// drove a divergence verdict (omitted when no estimate was made — local
+	// runs, forced algorithms, short pairs).
 	Backend       string  `json:"backend,omitempty"`
 	RouteReason   string  `json:"routeReason,omitempty"`
 	RouteIdentity float64 `json:"routeIdentity,omitempty"`
@@ -725,53 +725,48 @@ func (s *server) alignTask(req alignRequest, rec *fastlsa.Recorder) (func(ctx co
 			return b
 		}
 
+		var route fastlsa.RouteInfo
+		o.Route = &route
+		defer func() {
+			if route.Backend != "" {
+				s.backendTotal.With(route.Backend, route.Reason).Inc()
+			}
+		}()
+		// A local run reports its alignment over the aligned substrings.
+		var al *fastlsa.Alignment
+		var span *localSpan
+		var score int64
 		if req.Local {
 			loc, err := fastlsa.AlignLocal(a, b, o)
 			if err != nil {
 				return nil, err
 			}
-			resp := alignResponse{
-				Score:      loc.Score,
-				CellsSpent: counters.Cells.Load(),
-				Trace:      traceJSON(),
+			if score = loc.Score; score > 0 {
+				al = &fastlsa.Alignment{A: a.Slice(loc.StartA, loc.EndA), B: b.Slice(loc.StartB, loc.EndB), Path: loc.Path, Score: score}
+				span = &localSpan{StartA: loc.StartA, EndA: loc.EndA, StartB: loc.StartB, EndB: loc.EndB}
 			}
-			if loc.Score > 0 {
-				resp.CIGAR = loc.Path.CIGAR()
-				resp.Columns = loc.Path.Len()
-				resp.Local = &localSpan{StartA: loc.StartA, EndA: loc.EndA, StartB: loc.StartB, EndB: loc.EndB}
-				sub := &fastlsa.Alignment{A: a.Slice(loc.StartA, loc.EndA), B: b.Slice(loc.StartB, loc.EndB), Path: loc.Path, Score: loc.Score}
-				st := sub.Stats()
-				resp.Identity = st.Identity
-				if req.IncludeRows {
-					resp.RowA, resp.RowB = sub.Rows()
-				}
+		} else {
+			res, err := fastlsa.Align(a, b, o)
+			if err != nil {
+				return nil, err
 			}
-			return resp, nil
+			al, score = res, res.Score
 		}
-
-		var route fastlsa.RouteInfo
-		o.Route = &route
-		al, err := fastlsa.Align(a, b, o)
-		if route.Backend != "" {
-			s.backendTotal.With(route.Backend, route.Reason).Inc()
-		}
-		if err != nil {
-			return nil, err
-		}
-		st := al.Stats()
 		resp := alignResponse{
-			Score:         al.Score,
-			CIGAR:         al.Path.CIGAR(),
-			Columns:       st.Columns,
-			Identity:      st.Identity,
+			Score:         score,
+			Local:         span,
 			CellsSpent:    counters.Cells.Load(),
 			Backend:       route.Backend,
 			RouteReason:   route.Reason,
 			RouteIdentity: route.Identity,
 			Trace:         traceJSON(),
 		}
-		if req.IncludeRows {
-			resp.RowA, resp.RowB = al.Rows()
+		if al != nil {
+			st := al.Stats()
+			resp.CIGAR, resp.Columns, resp.Identity = al.Path.CIGAR(), st.Columns, st.Identity
+			if req.IncludeRows {
+				resp.RowA, resp.RowB = al.Rows()
+			}
 		}
 		return resp, nil
 	}, nil

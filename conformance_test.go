@@ -523,9 +523,14 @@ func classify(err error) errClass {
 	return errOther
 }
 
+// errSubjects are the entry points TestConformanceErrors asks, in the
+// column order of its table: fastlsa.Align under AlgoAuto and under each
+// backend, Score, AlignLocal under AlgoAuto and AlgoFullMatrix, and
+// AlignBanded with band 0.
+var errSubjects = [...]string{"auto", "fastlsa", "fm", "hirschberg", "compact", "wfa", "score", "local/auto", "local/fm", "banded/0"}
+
 // TestConformanceErrors pins the error class every entry point returns for
-// each kind of refused request. A row names the subjects it applies to;
-// the others are not asked.
+// each kind of refused request. Every row names every subject.
 func TestConformanceErrors(t *testing.T) {
 	a, b := mustPair(t, 300, 0.3, 5)
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -533,56 +538,33 @@ func TestConformanceErrors(t *testing.T) {
 	base := confCase{name: "errors", a: a, b: b, sys: dnaLinear, workers: 1}
 	protein := confSystem{"protein/blosum62", seq.Protein, scoring.BLOSUM62, scoring.Linear(-4)}
 	pa, pb := testutil.HomologousPair(300, seq.Protein, 5)
+	const (
+		ok       = errNone
+		invalid  = errInvalid
+		tooSmall = errTooSmall
+	)
 
 	rows := []struct {
 		name string
 		c    confCase
 		opt  func(*fastlsa.Options)
-		want map[string]errClass
+		want [len(errSubjects)]errClass
 	}{
-		{"nil matrix", base, func(o *fastlsa.Options) { o.Matrix = nil }, map[string]errClass{
-			"auto": errInvalid, "fastlsa": errInvalid, "fm": errInvalid, "hirschberg": errInvalid,
-			"compact": errInvalid, "wfa": errInvalid, "score": errInvalid, "local/auto": errInvalid,
-			"local/fm": errInvalid, "banded/0": errInvalid,
-		}},
-		{"positive gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Linear(1) }, map[string]errClass{
-			"auto": errInvalid, "fastlsa": errInvalid, "fm": errInvalid, "hirschberg": errInvalid,
-			"compact": errInvalid, "wfa": errInvalid, "score": errInvalid, "local/auto": errInvalid,
-			"local/fm": errInvalid, "banded/0": errInvalid,
-		}},
-		{"negative budget", base, func(o *fastlsa.Options) { o.MemoryBudget = -1 }, map[string]errClass{
-			"auto": errInvalid, "fastlsa": errInvalid, "fm": errInvalid, "hirschberg": errInvalid,
-			"compact": errInvalid, "wfa": errInvalid, "score": errInvalid, "local/auto": errInvalid,
-			"local/fm": errInvalid, "banded/0": errInvalid,
-		}},
-		{"budget too small", base, func(o *fastlsa.Options) { o.MemoryBudget = 64 }, map[string]errClass{
-			"auto": errTooSmall, "fastlsa": errExceeded, "fm": errExceeded, "hirschberg": errExceeded,
-			"compact": errExceeded, "wfa": errExceeded, "score": errExceeded, "local/auto": errTooSmall,
-			"local/fm": errExceeded, "banded/0": errTooSmall,
-		}},
-		{"pre-cancelled context", base, func(o *fastlsa.Options) { o.Context = cancelled }, map[string]errClass{
-			"auto": errCanceled, "fastlsa": errCanceled, "fm": errCanceled, "hirschberg": errCanceled,
-			"compact": errCanceled, "wfa": errCanceled, "score": errCanceled, "local/auto": errCanceled,
-			"local/fm": errCanceled, "banded/0": errCanceled,
-		}},
-		{"ends-free mode", base, func(o *fastlsa.Options) { o.Mode = align.Overlap }, map[string]errClass{
-			"auto": errNone, "fastlsa": errNone, "fm": errNone, "hirschberg": errInvalid,
-			"compact": errInvalid, "wfa": errInvalid, "score": errNone,
-		}},
-		{"affine gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Affine(-6, -2) }, map[string]errClass{
-			"auto": errNone, "fastlsa": errNone, "fm": errNone, "hirschberg": errNone,
-			"compact": errInvalid, "wfa": errNone, "score": errNone, "local/auto": errNone,
-			"local/fm": errNone, "banded/0": errInvalid,
-		}},
-		{"non-uniform matrix", confCase{name: "errors", a: pa, b: pb, sys: protein, workers: 1}, nil, map[string]errClass{
-			"auto": errNone, "fastlsa": errNone, "hirschberg": errNone, "wfa": errInvalid,
-		}},
-		{"local on a global-only backend", base, func(o *fastlsa.Options) { o.Algorithm = fastlsa.AlgoHirschberg }, map[string]errClass{
-			"local/auto": errInvalid,
-		}},
+		{"nil matrix", base, func(o *fastlsa.Options) { o.Matrix = nil }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"positive gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Linear(1) }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"negative budget", base, func(o *fastlsa.Options) { o.MemoryBudget = -1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"budget too small", base, func(o *fastlsa.Options) { o.MemoryBudget = 64 }, [...]errClass{tooSmall, tooSmall, tooSmall, tooSmall, tooSmall, errExceeded, tooSmall, tooSmall, tooSmall, tooSmall}},
+		{"pre-cancelled context", base, func(o *fastlsa.Options) { o.Context = cancelled }, [...]errClass{errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled}},
+		{"ends-free mode", base, func(o *fastlsa.Options) { o.Mode = align.Overlap }, [...]errClass{ok, ok, ok, invalid, invalid, invalid, ok, ok, ok, invalid}},
+		{"affine gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Affine(-6, -2) }, [...]errClass{ok, ok, ok, ok, invalid, ok, ok, ok, ok, invalid}},
+		{"non-uniform matrix", confCase{name: "errors", a: pa, b: pb, sys: protein, workers: 1}, nil, [...]errClass{ok, ok, ok, ok, ok, invalid, ok, ok, ok, ok}},
+		// Align and local/fm subjects set their own Algorithm; Score runs
+		// its sweep whatever Algorithm names.
+		{"algorithm hirschberg", base, func(o *fastlsa.Options) { o.Algorithm = fastlsa.AlgoHirschberg }, [...]errClass{ok, ok, ok, ok, ok, ok, ok, invalid, ok, invalid}},
 	}
 	for _, row := range rows {
-		for subject, want := range row.want {
+		for i, subject := range errSubjects {
+			want := row.want[i]
 			opt := row.c.options(nil)
 			if row.opt != nil {
 				row.opt(&opt)
@@ -635,7 +617,7 @@ func TestConformanceErrors(t *testing.T) {
 		{"core/parallel budget", func() error {
 			_, err := core.Align(a, b, scoring.DNASimple, scoring.Linear(-4), core.Options{Workers: 4, Budget: tiny, ParallelFillCells: 1})
 			return err
-		}(), errExceeded},
+		}(), errTooSmall},
 		{"core/parallel cancelled", func() error {
 			_, err := core.Align(a, b, scoring.DNASimple, scoring.Linear(-4), core.Options{Workers: 4, Counters: cc, ParallelFillCells: 1})
 			return err

@@ -78,7 +78,8 @@ func JobIDFromContext(ctx context.Context) string { return engine.JobIDFromConte
 // panics (ErrJobPanic), injected faults, and transient resource pressure
 // (ErrBudgetExceeded — a budget race against concurrent runs can clear), but
 // never cancellation/deadline expiry, ErrInvalidInput, or ErrBudgetTooSmall
-// (deterministic: the same submission will fail the same way every attempt).
+// (deterministic: every up-front budget refusal, whatever the engine, fails
+// the same submission the same way every attempt).
 // Use it as JobOptions.Retry.RetryOn.
 func RetryTransient(err error) bool {
 	if !engine.Retryable(err) {
@@ -163,37 +164,35 @@ func (en *Engine) SubmitFunc(kind string, task func(ctx context.Context) (any, e
 	return en.e.Submit(jo.submission(kind, task))
 }
 
+// bind hands opt to a job's run: the job's own context, and the job's
+// flight recorder unless opt brings one.
+func (jo JobOptions) bind(opt Options, ctx context.Context) Options {
+	opt.Context = ctx
+	if opt.Recorder == nil {
+		opt.Recorder = jo.Recorder
+	}
+	return opt
+}
+
 // SubmitAlign queues a pairwise alignment; the job's result is *Alignment.
 // opt.Context is overridden with the job's own context.
 func (en *Engine) SubmitAlign(a, b *Sequence, opt Options, jo JobOptions) (*Job, error) {
 	return en.e.Submit(jo.submission("align", func(ctx context.Context) (any, error) {
-		o := opt
-		o.Context = ctx
-		if o.Recorder == nil {
-			o.Recorder = jo.Recorder
-		}
-		return Align(a, b, o)
+		return Align(a, b, jo.bind(opt, ctx))
 	}))
 }
 
 // SubmitAlignLocal queues a local alignment; the result is *LocalAlignment.
 func (en *Engine) SubmitAlignLocal(a, b *Sequence, opt Options, jo JobOptions) (*Job, error) {
 	return en.e.Submit(jo.submission("align-local", func(ctx context.Context) (any, error) {
-		o := opt
-		o.Context = ctx
-		if o.Recorder == nil {
-			o.Recorder = jo.Recorder
-		}
-		return AlignLocal(a, b, o)
+		return AlignLocal(a, b, jo.bind(opt, ctx))
 	}))
 }
 
 // SubmitMSA queues a progressive multiple alignment; the result is *MSA.
 func (en *Engine) SubmitMSA(seqs []*Sequence, opt Options, jo JobOptions) (*Job, error) {
 	return en.e.Submit(jo.submission("msa", func(ctx context.Context) (any, error) {
-		o := opt
-		o.Context = ctx
-		return AlignMSA(seqs, o)
+		return AlignMSA(seqs, jo.bind(opt, ctx))
 	}))
 }
 

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/backend"
 	"fastlsa/internal/core"
 	"fastlsa/internal/fm"
-	"fastlsa/internal/hirschberg"
 	"fastlsa/internal/index"
 	"fastlsa/internal/kernel"
 	"fastlsa/internal/memory"
@@ -89,6 +89,9 @@ type (
 	GumbelParams = significance.Params
 	// EditOp is one operation of an edit script (Alignment.EditScript).
 	EditOp = align.EditOp
+	// RouteInfo reports which backend served a call and why (the
+	// backend.Reason* constants; docs/BACKENDS.md lists the rule table).
+	RouteInfo = backend.Route
 	// CheckpointSink persists grid-cache snapshots for one run and supplies
 	// the previous snapshot on resume (Options.Checkpoint; see
 	// docs/DURABILITY.md for the blob format and resume semantics).
@@ -354,14 +357,18 @@ var (
 	// matrix, a malformed gap model, an unsupported mode/algorithm/gap
 	// combination, or an unusable statistics scoring system.
 	ErrInvalidInput = errors.New("fastlsa: invalid input")
-	// ErrBudgetExceeded reports a run that could not fit the caller's
-	// Options.MemoryBudget.
+	// ErrBudgetExceeded reports a run that outgrew the caller's
+	// Options.MemoryBudget after its first cell: WFA's wavefronts grow as
+	// the run proceeds, and an explicit FastLSA run can need more later in
+	// its recursion than its first descent.
 	ErrBudgetExceeded = memory.ErrExceeded
-	// ErrBudgetTooSmall reports a MemoryBudget below FastLSA's linear-space
-	// floor for the problem: no parameter choice can make the run fit, so
-	// the request is rejected up front instead of failing mid-run. Like
-	// ErrInvalidInput it classifies a caller mistake, not an internal fault.
-	ErrBudgetTooSmall = core.ErrBudgetTooSmall
+	// ErrBudgetTooSmall reports a MemoryBudget the run is refused under
+	// before its first cell: below the planned FastLSA floor under AlgoAuto,
+	// below what an explicit FastLSA run certainly holds at once, or below
+	// the up-front charge of the other engines and Score. Like
+	// ErrInvalidInput it classifies a caller mistake, not an internal fault,
+	// and RetryTransient does not retry it.
+	ErrBudgetTooSmall = memory.ErrTooSmall
 )
 
 // badInput wraps a validation failure with ErrInvalidInput.
@@ -383,10 +390,11 @@ type Options struct {
 	// Algorithm selects the engine (default AlgoAuto).
 	Algorithm Algorithm
 	// MemoryBudget caps memory in DPM entries (8 bytes each); 0 = unlimited.
-	// Runs that outgrow it fail with ErrBudgetExceeded. Under AlgoAuto,
-	// FastLSA plans K and BaseCells to fit it, or fails up front with
-	// ErrBudgetTooSmall; the explicit engines, AlgoFastLSA included, run
-	// with the parameters they are given.
+	// Under AlgoAuto, FastLSA plans K and BaseCells to fit it; the explicit
+	// engines, AlgoFastLSA included, run with the parameters they are given.
+	// Every call checks it once before its first cell and fails with
+	// ErrBudgetTooSmall when the run certainly cannot fit; a run that
+	// outgrows it later fails with ErrBudgetExceeded.
 	MemoryBudget int64
 	// Workers is the parallelism degree P (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
@@ -407,12 +415,13 @@ type Options struct {
 	// may safely be shared by concurrent runs with different contexts; the
 	// shared Counters still accumulates every run's work.
 	Context context.Context
-	// Route, when non-nil, receives the backend routing decision of an
-	// Align call (the backend that actually ran and why — AlgoAuto's
-	// divergence verdict, or "explicit" for a forced Algorithm). It is
-	// written even when the run then fails, so error reports can name the
-	// backend. Like Trace it is per-run state: do not share one Route
-	// across concurrent runs.
+	// Route, when non-nil, receives the routing decision of the call (the
+	// backend that actually ran and why — AlgoAuto's divergence verdict,
+	// "explicit" for a forced Algorithm, or the entry point's own reason:
+	// "local", "banded", or "score-only" with no backend). Every entry point
+	// fills it before its first cell, so error reports can name the backend
+	// even when the run then fails. Like Trace it is per-run state: do not
+	// share one Route across concurrent runs.
 	Route *RouteInfo
 	// Recorder, when non-nil, is the run's flight recorder: the router logs
 	// its decision (and any budget fallback) into it, and the solver kernels
@@ -427,19 +436,6 @@ type Options struct {
 	// job. A failed save or an unusable snapshot degrades to a cold run,
 	// never an error.
 	Checkpoint CheckpointSink
-}
-
-// RouteInfo reports which backend served an Align call and why (see the
-// backend.Reason* constants in internal/backend; docs/BACKENDS.md lists
-// the rule table).
-type RouteInfo struct {
-	// Backend is the canonical backend name ("fastlsa", "wfa", ...).
-	Backend string `json:"backend"`
-	// Reason is the routing reason ("explicit", "low-divergence", ...).
-	Reason string `json:"reason"`
-	// Identity is the q-gram identity estimate that drove an AlgoAuto
-	// decision (0 when no estimate was made).
-	Identity float64 `json:"identity,omitempty"`
 }
 
 func (o Options) normalise() (Options, error) {
@@ -470,221 +466,220 @@ func (o Options) normalise() (Options, error) {
 	return o, nil
 }
 
-func (o Options) budget() (*memory.Budget, error) {
-	if o.MemoryBudget == 0 {
-		return nil, nil
-	}
-	return memory.NewBudget(o.MemoryBudget)
+// entryKind is what a facade call computes; it decides which backends may
+// serve the call and the route an AlgoAuto call of the kind takes.
+type entryKind int
+
+const (
+	kindGlobal    entryKind = iota // Align: backend.Decide routes AlgoAuto
+	kindLocal                      // AlignLocal: the backend.LocalAligner backends
+	kindScore                      // Score: one score-only sweep, no backend
+	kindBanded                     // AlignBanded with band <= 0 and AlignMSA: FastLSA
+	kindFixedBand                  // AlignBanded with band > 0: the banded full matrix, no backend
+)
+
+// entry is one planned facade call: its normalised options, its route and
+// the backend (nil for a kind that runs none), and what the run is handed.
+type entry struct {
+	opt    Options
+	route  RouteInfo
+	bk     backend.Backend
+	req    backend.Request
+	budget *memory.Budget // a run outside the registry charges this one
 }
 
-// backendRequest translates Options into a backend-layer Request. planned
-// selects budget-planned FastLSA parameters (the AlgoAuto contract:
-// explicit K / BaseCells overrides become planning inputs there, re-run
-// through the whole feasibility check so an override can never push the run
-// past the budget the plan was sized for).
-func (o Options) backendRequest(planned bool) backend.Request {
-	return backend.Request{
-		Matrix:       o.Matrix,
-		Gap:          o.Gap,
-		Mode:         o.Mode,
-		Planned:      planned,
-		MemoryBudget: o.MemoryBudget,
-		Workers:      o.Workers,
-		K:            o.K,
-		BaseCells:    o.BaseCells,
-		Counters:     o.Counters,
-		Obs:          obs.Run{Trace: o.Trace, Recorder: o.Recorder, Prof: o.Context},
-		Checkpoint:   o.Checkpoint,
+// plan is the one entry path of every facade call, run once before the
+// first cell: it normalises the options, picks the backend, checks that the
+// backend serves the kind, records the route (a backend.route span, an
+// EvRoute event and Options.Route) and materialises the budget. FastLSA
+// runs then plan their parameters (core.PlanOptions under AlgoAuto) and
+// check the budget against their first descent (internal/core) before
+// their first cell too.
+func plan(a, b *Sequence, opt Options, kind entryKind) (entry, error) {
+	opt, err := opt.normalise()
+	if err != nil {
+		return entry{}, err
 	}
+	if (kind == kindBanded || kind == kindFixedBand) && (!opt.Gap.IsLinear() || !opt.Mode.IsGlobal()) {
+		return entry{}, badInput("banded and MSA alignment require a linear gap model and global mode")
+	}
+	e := entry{opt: opt}
+	start := opt.Trace.Begin()
+	route, err := pickRoute(a, b, opt, kind)
+	if err != nil {
+		return entry{}, err
+	}
+	opt.Trace.End(SpanNameBackendRoute, obs.CatBackend, start, obs.Tags{Backend: route.Backend, Reason: route.Reason})
+	e.setRoute(route)
+	e.bk, _ = backend.Lookup(route.Backend)
+	e.req = backend.Request{
+		Matrix: opt.Matrix,
+		Gap:    opt.Gap,
+		Mode:   opt.Mode,
+		// AlgoAuto plans FastLSA's parameters against the budget: explicit
+		// K / BaseCells become planning inputs, so an override can never
+		// push the run past the budget the plan was sized for.
+		Planned:      opt.Algorithm == AlgoAuto && route.Backend == backend.NameFastLSA,
+		MemoryBudget: opt.MemoryBudget,
+		Workers:      opt.Workers,
+		K:            opt.K,
+		BaseCells:    opt.BaseCells,
+		Counters:     opt.Counters,
+		Obs:          obs.Run{Trace: opt.Trace, Recorder: opt.Recorder, Prof: opt.Context},
+		Checkpoint:   opt.Checkpoint,
+	}
+	if e.bk == nil {
+		e.budget, err = e.req.Budget()
+	}
+	return e, err
 }
 
-func (o Options) coreOptions(m, n int) (core.Options, error) {
-	return backend.CoreOptions(o.backendRequest(o.Algorithm == AlgoAuto), m, n)
+// pickRoute resolves which backend serves the call. The kinds that run no
+// backend ignore Algorithm; under AlgoAuto a global call takes the
+// divergence-adaptive router's verdict and the other kinds run FastLSA;
+// a forced Algorithm names a backend, checked against the kind and its
+// capabilities. A local alignment is free at all four ends already, so it
+// ignores Mode.
+func pickRoute(a, b *Sequence, opt Options, kind entryKind) (RouteInfo, error) {
+	switch {
+	case kind == kindScore:
+		return RouteInfo{Reason: backend.ReasonScoreOnly}, nil
+	case kind == kindFixedBand:
+		return RouteInfo{Reason: backend.ReasonBanded}, nil
+	case opt.Algorithm != AlgoAuto:
+		break
+	case kind == kindLocal:
+		return RouteInfo{Backend: backend.NameFastLSA, Reason: backend.ReasonLocal}, nil
+	case kind == kindBanded:
+		return RouteInfo{Backend: backend.NameFastLSA, Reason: backend.ReasonBanded}, nil
+	default:
+		return backend.Decide(a, b, opt.Matrix, opt.Gap, opt.Mode, opt.K != 0 || opt.BaseCells != 0), nil
+	}
+	name := opt.Algorithm.String()
+	bk, ok := backend.Lookup(name)
+	if !ok {
+		return RouteInfo{}, badInput("unknown algorithm %v", opt.Algorithm)
+	}
+	if _, local := bk.(backend.LocalAligner); kind == kindLocal && !local {
+		return RouteInfo{}, badInput("the %v engine does not serve local alignment", opt.Algorithm)
+	}
+	if kind == kindBanded && name != backend.NameFastLSA {
+		return RouteInfo{}, badInput("banded and MSA alignment run on FastLSA (got %v)", opt.Algorithm)
+	}
+	if !opt.Mode.IsGlobal() && !bk.Caps().EndsFree {
+		return RouteInfo{}, badInput("ends-free modes support the auto, fastlsa and fm engines (got %v)", opt.Algorithm)
+	}
+	if !opt.Gap.IsLinear() && !bk.Caps().AffineGaps {
+		return RouteInfo{}, badInput("the %v engine supports linear gap models only", opt.Algorithm)
+	}
+	if bk.Caps().UniformScoresOnly {
+		if _, werr := wfa.FromScoring(opt.Matrix, a.Alphabet, opt.Gap); werr != nil {
+			return RouteInfo{}, fmt.Errorf("%w: %w", ErrInvalidInput, werr)
+		}
+	}
+	return RouteInfo{Backend: name, Reason: backend.ReasonExplicit}, nil
+}
+
+// setRoute makes r the call's route: Options.Route reports it and the
+// flight recorder logs it.
+func (e *entry) setRoute(r RouteInfo) {
+	e.route = r
+	if e.opt.Route != nil {
+		*e.opt.Route = r
+	}
+	e.opt.Recorder.Add(obs.Event{Kind: obs.EvRoute, Detail: r.Backend, Extra: r.Reason, Value: r.Identity})
+}
+
+// dispatch runs a planned call on its backend. An auto-routed WFA run whose
+// wavefronts outgrow the memory budget — possible when the divergence
+// estimate undershoots — reruns on budget-planned FastLSA, which by
+// construction fits any budget PlanOptions accepts.
+func dispatch[R any](e entry, a, b *Sequence, run func(backend.Backend, *Sequence, *Sequence, backend.Request) (R, error)) (R, error) {
+	res, err := run(e.bk, a, b, e.req)
+	if err != nil && e.opt.Algorithm == AlgoAuto && e.route.Backend == backend.NameWFA && errors.Is(err, ErrBudgetExceeded) {
+		// The re-route is a decision, not a timed step: only the events log
+		// it (the backend.route span covers the original routing).
+		e.opt.Recorder.Add(obs.Event{Kind: obs.EvBudgetFallback, Detail: err.Error()})
+		e.setRoute(RouteInfo{Backend: backend.NameFastLSA, Reason: backend.ReasonBudgetFallback, Identity: e.route.Identity})
+		e.bk, _ = backend.Lookup(backend.NameFastLSA)
+		e.req.Planned = true
+		res, err = run(e.bk, a, b, e.req)
+	}
+	return res, err
 }
 
 // Align computes the optimal global alignment of a and b.
 func Align(a, b *Sequence, opt Options) (*Alignment, error) {
-	opt, err := opt.normalise()
+	e, err := plan(a, b, opt, kindGlobal)
 	if err != nil {
 		return nil, err
 	}
-	res, route, err := dispatchAlign(a, b, opt)
-	if opt.Route != nil {
-		*opt.Route = route
-	}
+	res, err := dispatch(e, a, b, backend.Backend.Align)
 	if err != nil {
 		return nil, err
 	}
 	return align.New(a, b, res.Path, res.Score)
 }
 
-// routeAlign resolves which backend serves this run: the divergence-adaptive
-// router under AlgoAuto, or the named backend (capability-checked) when the
-// caller forced one. The decision is recorded as a backend.route span.
-func routeAlign(a, b *Sequence, opt Options) (RouteInfo, error) {
-	var route RouteInfo
-	start := opt.Trace.Begin()
-	if opt.Algorithm == AlgoAuto {
-		r := backend.Decide(a, b, opt.Matrix, opt.Gap, opt.Mode, opt.K != 0 || opt.BaseCells != 0)
-		route = RouteInfo{Backend: r.Backend, Reason: r.Reason, Identity: r.Identity}
-	} else {
-		name := opt.Algorithm.String()
-		bk, ok := backend.Lookup(name)
-		if !ok {
-			return RouteInfo{}, badInput("unknown algorithm %v", opt.Algorithm)
-		}
-		if !opt.Mode.IsGlobal() && !bk.Caps().EndsFree {
-			return RouteInfo{}, badInput("ends-free modes support the auto, fastlsa and fm engines (got %v)", opt.Algorithm)
-		}
-		if !opt.Gap.IsLinear() && !bk.Caps().AffineGaps {
-			return RouteInfo{}, badInput("the %v engine supports linear gap models only", opt.Algorithm)
-		}
-		if bk.Caps().UniformScoresOnly {
-			if _, werr := wfa.FromScoring(opt.Matrix, a.Alphabet, opt.Gap); werr != nil {
-				return RouteInfo{}, fmt.Errorf("%w: %w", ErrInvalidInput, werr)
-			}
-		}
-		route = RouteInfo{Backend: name, Reason: backend.ReasonExplicit}
-	}
-	opt.Trace.End(SpanNameBackendRoute, obs.CatBackend, start, obs.Tags{Backend: route.Backend, Reason: route.Reason})
-	opt.Recorder.Add(obs.Event{Kind: obs.EvRoute, Detail: route.Backend, Extra: route.Reason, Value: route.Identity})
-	return route, nil
-}
-
-// dispatchAlign routes the run and executes it on the chosen backend. An
-// auto-routed WFA run whose wavefronts outgrow the memory budget — possible
-// when the divergence estimate undershoots — reruns on budget-planned
-// FastLSA, which by construction fits any budget PlanOptions accepts.
-func dispatchAlign(a, b *Sequence, opt Options) (core.Result, RouteInfo, error) {
-	route, err := routeAlign(a, b, opt)
-	if err != nil {
-		return core.Result{}, route, err
-	}
-	run := func(r RouteInfo) (core.Result, error) {
-		bk, ok := backend.Lookup(r.Backend)
-		if !ok {
-			return core.Result{}, badInput("unknown backend %q", r.Backend)
-		}
-		planned := opt.Algorithm == AlgoAuto && r.Backend == backend.NameFastLSA
-		return bk.Align(a, b, opt.backendRequest(planned))
-	}
-	res, err := run(route)
-	if err != nil && opt.Algorithm == AlgoAuto && route.Backend == backend.NameWFA && errors.Is(err, ErrBudgetExceeded) {
-		// The re-route is a decision, not a timed step: only the events log
-		// it (the backend.route span covers the original routing).
-		opt.Recorder.Add(obs.Event{Kind: obs.EvBudgetFallback, Detail: err.Error()})
-		route = RouteInfo{Backend: backend.NameFastLSA, Reason: backend.ReasonBudgetFallback, Identity: route.Identity}
-		opt.Recorder.Add(obs.Event{Kind: obs.EvRoute, Detail: route.Backend, Extra: route.Reason, Value: route.Identity})
-		res, err = run(route)
-	}
-	return res, route, err
-}
-
-// Score computes only the optimal alignment score, in linear space
-// regardless of the selected algorithm. Ends-free modes and both gap models
-// are supported. The memory budget is charged the sweep's boundary and
-// output edges: a row and a column each.
+// Score computes only the optimal alignment score with one score-only
+// kernel sweep, in linear space, whatever Algorithm names. Ends-free modes
+// and both gap models are supported. The memory budget is charged the
+// sweep's boundary and output edges, a row and a column each, before the
+// first cell; a budget below that fails with ErrBudgetTooSmall. The route
+// reports reason "score-only" and no backend.
 func Score(a, b *Sequence, opt Options) (int64, error) {
-	opt, err := opt.normalise()
+	e, err := plan(a, b, opt, kindScore)
 	if err != nil {
 		return 0, err
 	}
-	budget, err := opt.budget()
-	if err != nil {
-		return 0, err
-	}
-	lanes := int64(1)
-	if !opt.Gap.IsLinear() {
-		lanes = 2
-	}
-	charge := lanes * 2 * int64(a.Len()+b.Len()+2)
-	if err := budget.Reserve(charge); err != nil {
+	k := kernel.New(e.opt.Matrix, kernel.FromGap(e.opt.Gap), rowPool, e.opt.Counters)
+	charge := k.Mod.Lanes() * 2 * int64(a.Len()+b.Len()+2)
+	if err := e.budget.ReserveRun(charge); err != nil {
 		return 0, fmt.Errorf("fastlsa: Score rows of %d entries: %w", charge, err)
 	}
-	defer budget.Release(charge)
-	if !opt.Mode.IsGlobal() {
-		return modeScore(a, b, opt)
-	}
-	return hirschberg.Score(a, b, opt.Matrix, opt.Gap, opt.Counters)
+	defer e.budget.Release(charge)
+	return k.Score(a.Residues, b.Residues, e.opt.Mode)
 }
 
 // rowPool recycles the boundary and output vectors of score-only sweeps.
 var rowPool = memory.NewRowPool()
 
-// modeScore computes the ends-free score with one kernel sweep (the gap
-// model selects one linear plane or the three affine planes).
-func modeScore(a, b *Sequence, opt Options) (int64, error) {
-	k := kernel.New(opt.Matrix, kernel.FromGap(opt.Gap), rowPool, opt.Counters)
-	top := k.ModeEdge(b.Len(), opt.Mode.FreeStartB)
-	left := k.ModeEdge(a.Len(), opt.Mode.FreeStartA)
-	outRow := k.NewEdge(b.Len())
-	outCol := k.NewEdge(a.Len())
-	defer k.PutEdge(top)
-	defer k.PutEdge(left)
-	defer k.PutEdge(outRow)
-	defer k.PutEdge(outCol)
-	if err := k.Forward(a.Residues, b.Residues, top, left, outRow, outCol); err != nil {
-		return 0, err
-	}
-	_, _, score := fm.ModeEndFromEdges(outRow.H, outCol.H, opt.Mode)
-	return score, nil
-}
-
 // AlignLocal computes the optimal Smith-Waterman local alignment under
 // either gap model. AlgoAuto and AlgoFastLSA run in FastLSA-bounded space;
-// AlgoFullMatrix stores the complete matrix.
+// AlgoFullMatrix stores the complete matrix. The route reports the backend,
+// with reason "local" under AlgoAuto.
 func AlignLocal(a, b *Sequence, opt Options) (*LocalAlignment, error) {
-	opt, err := opt.normalise()
+	e, err := plan(a, b, opt, kindLocal)
 	if err != nil {
 		return nil, err
 	}
-	switch opt.Algorithm {
-	case AlgoAuto, AlgoFastLSA:
-		copt, cerr := opt.coreOptions(a.Len(), b.Len())
-		if cerr != nil {
-			return nil, cerr
-		}
-		res, lerr := core.AlignLocal(a, b, opt.Matrix, opt.Gap, copt)
-		if lerr != nil {
-			return nil, lerr
-		}
-		return &res, nil
-	case AlgoFullMatrix:
-		budget, berr := opt.budget()
-		if berr != nil {
-			return nil, berr
-		}
-		res, lerr := fm.AlignLocal(a, b, opt.Matrix, opt.Gap, budget, opt.Counters)
-		if lerr != nil {
-			return nil, lerr
-		}
-		return &res, nil
-	default:
-		return nil, badInput("local alignment supports auto, fastlsa and fm engines (got %v)", opt.Algorithm)
+	res, err := dispatch(e, a, b, func(bk backend.Backend, a, b *Sequence, req backend.Request) (LocalAlignment, error) {
+		return bk.(backend.LocalAligner).AlignLocal(a, b, req)
+	})
+	if err != nil {
+		return nil, err
 	}
+	return &res, nil
 }
 
 // AlignMSA builds a progressive multiple sequence alignment of the inputs:
 // pairwise FastLSA distances, a UPGMA guide tree, and sum-of-pairs profile
 // merging. Linear gap models only; Options.Workers parallelises the
-// pairwise stage.
+// pairwise stage. The pairwise runs are planned once, against the two
+// longest inputs, so under AlgoAuto every pair fits MemoryBudget.
 func AlignMSA(seqs []*Sequence, opt Options) (*MSA, error) {
-	opt, err := opt.normalise()
+	// Empty sequences stand in for missing inputs.
+	long := append(slices.Clone(seqs), &Sequence{}, &Sequence{})
+	slices.SortFunc(long, func(x, y *Sequence) int { return y.Len() - x.Len() })
+	e, err := plan(long[0], long[1], opt, kindBanded)
 	if err != nil {
 		return nil, err
 	}
-	if !opt.Gap.IsLinear() {
-		return nil, badInput("AlignMSA requires a linear gap model")
-	}
-	copt, err := opt.coreOptions(0, 0)
+	copt, err := backend.CoreOptions(e.req, long[0].Len(), long[1].Len())
 	if err != nil {
 		return nil, err
 	}
-	return msa.Align(seqs, msa.Options{
-		Matrix:   opt.Matrix,
-		Gap:      opt.Gap,
-		Pairwise: copt,
-	})
+	return msa.Align(seqs, msa.Options{Matrix: e.opt.Matrix, Gap: e.opt.Gap, Pairwise: copt})
 }
 
 // AlignBanded computes a banded global alignment: only cells within the
@@ -692,28 +687,22 @@ func AlignMSA(seqs []*Sequence, opt Options) (*MSA, error) {
 // result is the global optimum whenever the optimal path fits in the band
 // (guaranteed for band >= max(m, n)); otherwise it is the best alignment
 // confined to the band. band <= 0 runs FastLSA instead, which is exact in
-// linear space. Linear gap models only.
+// linear space. Linear gap models and global mode only; the route reports
+// reason "banded" under AlgoAuto, and no backend for a positive band.
 func AlignBanded(a, b *Sequence, opt Options, band int) (*Alignment, error) {
-	opt, err := opt.normalise()
+	kind := kindBanded
+	if band > 0 {
+		kind = kindFixedBand
+	}
+	e, err := plan(a, b, opt, kind)
 	if err != nil {
 		return nil, err
 	}
-	if !opt.Gap.IsLinear() {
-		return nil, badInput("AlignBanded requires a linear gap model")
-	}
 	var res fm.Result
-	if band <= 0 {
-		copt, cerr := opt.coreOptions(a.Len(), b.Len())
-		if cerr != nil {
-			return nil, cerr
-		}
-		res, err = core.Align(a, b, opt.Matrix, opt.Gap, copt)
+	if band > 0 {
+		res, err = fm.AlignBanded(a, b, e.opt.Matrix, e.opt.Gap, band, e.budget, e.opt.Counters)
 	} else {
-		budget, berr := opt.budget()
-		if berr != nil {
-			return nil, berr
-		}
-		res, err = fm.AlignBanded(a, b, opt.Matrix, opt.Gap, band, budget, opt.Counters)
+		res, err = dispatch(e, a, b, backend.Backend.Align)
 	}
 	if err != nil {
 		return nil, err

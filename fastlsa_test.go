@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fastlsa"
-	"fastlsa/internal/memory"
 )
 
 func paperPair(t *testing.T) (*fastlsa.Sequence, *fastlsa.Sequence) {
@@ -94,7 +93,7 @@ func TestScoreMatchesAlign(t *testing.T) {
 	}
 }
 
-// TestBudgetSemantics: FM must fail under a tight budget where FastLSA
+// TestBudgetSemantics: FM must be refused under a tight budget where FastLSA
 // (auto) succeeds — the adaptivity claim of the paper in API form.
 func TestBudgetSemantics(t *testing.T) {
 	x, y, err := fastlsa.HomologousPair(1500, fastlsa.DNA, fastlsa.DefaultHomology, 4)
@@ -106,8 +105,8 @@ func TestBudgetSemantics(t *testing.T) {
 		Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4),
 		Algorithm: fastlsa.AlgoFullMatrix, MemoryBudget: budget, Workers: 1,
 	})
-	if !errors.Is(err, memory.ErrExceeded) {
-		t.Fatalf("FM under budget: err = %v, want ErrExceeded", err)
+	if !errors.Is(err, fastlsa.ErrBudgetTooSmall) {
+		t.Fatalf("FM under budget: err = %v, want ErrBudgetTooSmall", err)
 	}
 	al, err := fastlsa.Align(x, y, fastlsa.Options{
 		Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4),

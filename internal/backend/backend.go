@@ -1,12 +1,9 @@
 // Package backend is the pluggable aligner layer behind the fastlsa facade:
 // a Backend interface with declared capabilities, a registry the facade's
 // Algorithm enum is derived from, and the divergence-adaptive router that
-// picks a backend under AlgoAuto (docs/BACKENDS.md).
-//
-// The facade used to dispatch through a hard-coded Algorithm switch; every
-// engine now registers here instead, so adding a backend is one Register
-// call plus an enum constant — the name tables, capability checks and CLI
-// help all derive from the registry.
+// picks a backend under AlgoAuto (docs/BACKENDS.md). Adding a backend is
+// one Register call plus an enum constant: the name tables, capability
+// checks and CLI help all derive from the registry.
 package backend
 
 import (
@@ -101,6 +98,12 @@ type Backend interface {
 	Align(a, b *seq.Sequence, req Request) (fm.Result, error)
 }
 
+// LocalAligner is implemented by the backends that also serve optimal
+// Smith-Waterman local alignment; the facade routes AlignLocal only to them.
+type LocalAligner interface {
+	AlignLocal(a, b *seq.Sequence, req Request) (fm.LocalResult, error)
+}
+
 // Info is one registry row.
 type Info struct {
 	// Name is the canonical backend name.
@@ -145,15 +148,6 @@ func All() []Info {
 	return out
 }
 
-// Names returns the canonical backend names in registration order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, info := range registry {
-		out[i] = info.Name
-	}
-	return out
-}
-
 // Lookup resolves a canonical name or alias to its backend.
 func Lookup(name string) (Backend, bool) {
 	b, ok := byName[name]
@@ -166,27 +160,16 @@ func Lookup(name string) (Backend, bool) {
 // an override can never push the run past the budget), unplanned requests
 // take K/BaseCells literally with a fixed budget.
 func CoreOptions(req Request, m, n int) (core.Options, error) {
+	opt := core.Options{K: req.K, BaseCells: req.BaseCells, Workers: req.Workers}
+	var err error
 	if req.Planned {
-		copt, err := core.PlanOptions(m, n, req.MemoryBudget, req.Workers, !req.Gap.IsLinear(), req.K, req.BaseCells)
-		if err != nil {
-			return core.Options{}, err
-		}
-		copt.Counters = req.Counters
-		copt.Obs = req.Obs
-		copt.Checkpoint = req.Checkpoint
-		return copt, nil
+		opt, err = core.PlanOptions(m, n, req.MemoryBudget, req.Workers, !req.Gap.IsLinear(), req.K, req.BaseCells)
+	} else {
+		opt.Budget, err = req.Budget()
 	}
-	b, err := req.Budget()
 	if err != nil {
 		return core.Options{}, err
 	}
-	return core.Options{
-		K:          req.K,
-		BaseCells:  req.BaseCells,
-		Budget:     b,
-		Workers:    req.Workers,
-		Counters:   req.Counters,
-		Obs:        req.Obs,
-		Checkpoint: req.Checkpoint,
-	}, nil
+	opt.Counters, opt.Obs, opt.Checkpoint = req.Counters, req.Obs, req.Checkpoint
+	return opt, nil
 }

@@ -16,16 +16,16 @@ func TestRegistryShape(t *testing.T) {
 		backend.NameCompact,
 		backend.NameWFA,
 	}
-	names := backend.Names()
-	if len(names) != len(want) {
-		t.Fatalf("registry has %d backends, want %d", len(names), len(want))
+	infos := backend.All()
+	if len(infos) != len(want) {
+		t.Fatalf("registry has %d backends, want %d", len(infos), len(want))
 	}
 	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("slot %d is %q, want %q", i, names[i], n)
+		if infos[i].Name != n {
+			t.Fatalf("slot %d is %q, want %q", i, infos[i].Name, n)
 		}
 	}
-	for _, info := range backend.All() {
+	for _, info := range infos {
 		if info.Impl.Name() != info.Name {
 			t.Fatalf("backend %q reports name %q", info.Name, info.Impl.Name())
 		}
@@ -65,5 +65,12 @@ func TestCapabilities(t *testing.T) {
 	}
 	if c := caps[backend.NameWFA]; c.EndsFree || !c.AffineGaps || !c.UniformScoresOnly {
 		t.Fatalf("wfa caps %+v", c)
+	}
+	// Local alignment is declared by implementing backend.LocalAligner.
+	for _, info := range backend.All() {
+		_, local := info.Impl.(backend.LocalAligner)
+		if want := info.Name == backend.NameFastLSA || info.Name == backend.NameFullMatrix; local != want {
+			t.Fatalf("%s serves local alignment: %t, want %t", info.Name, local, want)
+		}
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // The built-in backends, registered in the order the facade's Algorithm
-// enum expects. Each adapter reproduces the dispatch the facade's old
-// Algorithm switch performed, byte-for-byte (pinned by the equivalence
-// tests in the root package).
+// enum expects. Each adapter returns exactly what its engine returns when
+// called directly (pinned by the equivalence tests in the root package).
 func init() {
 	Register(Info{
 		Name:    NameFastLSA,
@@ -58,10 +57,15 @@ func (fastlsaBackend) Align(a, b *seq.Sequence, req Request) (fm.Result, error) 
 	if err != nil {
 		return fm.Result{}, err
 	}
-	if req.Mode.IsGlobal() {
-		return core.Align(a, b, req.Matrix, req.Gap, copt)
-	}
 	return core.AlignMode(a, b, req.Matrix, req.Gap, req.Mode, copt)
+}
+
+func (fastlsaBackend) AlignLocal(a, b *seq.Sequence, req Request) (fm.LocalResult, error) {
+	copt, err := CoreOptions(req, a.Len(), b.Len())
+	if err != nil {
+		return fm.LocalResult{}, err
+	}
+	return core.AlignLocal(a, b, req.Matrix, req.Gap, copt)
 }
 
 type fmBackend struct{}
@@ -77,14 +81,18 @@ func (fmBackend) Align(a, b *seq.Sequence, req Request) (fm.Result, error) {
 	if err != nil {
 		return fm.Result{}, err
 	}
-	switch {
-	case !req.Mode.IsGlobal():
-		return fm.AlignMode(a, b, req.Matrix, req.Gap, req.Mode, budget, req.Counters)
-	case req.Workers > 1 && req.Gap.IsLinear():
+	if req.Workers > 1 && req.Gap.IsLinear() && req.Mode.IsGlobal() {
 		return fm.AlignParallel(a, b, req.Matrix, req.Gap, req.Workers, budget, req.Counters)
-	default:
-		return fm.Align(a, b, req.Matrix, req.Gap, budget, req.Counters)
 	}
+	return fm.AlignMode(a, b, req.Matrix, req.Gap, req.Mode, budget, req.Counters)
+}
+
+func (fmBackend) AlignLocal(a, b *seq.Sequence, req Request) (fm.LocalResult, error) {
+	budget, err := req.Budget()
+	if err != nil {
+		return fm.LocalResult{}, err
+	}
+	return fm.AlignLocal(a, b, req.Matrix, req.Gap, budget, req.Counters)
 }
 
 type hirschbergBackend struct{}

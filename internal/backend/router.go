@@ -37,6 +37,15 @@ const (
 	// ReasonBudgetFallback: an auto-routed WFA run outgrew the memory
 	// budget mid-flight and was rerun on budget-planned FastLSA.
 	ReasonBudgetFallback = "budget-fallback"
+	// ReasonLocal: an AlgoAuto local alignment, which budget-planned
+	// FastLSA serves.
+	ReasonLocal = "local"
+	// ReasonBanded: an AlgoAuto banded alignment or MSA pairwise stage,
+	// which only FastLSA (band <= 0) or the fixed band (band > 0) serves.
+	ReasonBanded = "banded"
+	// ReasonScoreOnly: a score-only call, which runs one kernel sweep and
+	// no backend.
+	ReasonScoreOnly = "score-only"
 )
 
 // RouteIdentityThreshold is the estimated-identity floor for routing to
@@ -56,15 +65,17 @@ const RouteIdentityThreshold = 0.96
 // to mean anything.
 const MinRouteLen = 64
 
-// Route is one routing decision.
+// Route is one routing decision: the backend that served a facade call and
+// why (fastlsa.RouteInfo).
 type Route struct {
-	// Backend is the canonical name of the chosen backend.
-	Backend string
+	// Backend is the canonical name of the chosen backend ("" for a call
+	// that runs no backend: a score-only sweep or a fixed band).
+	Backend string `json:"backend"`
 	// Reason is one of the Reason* constants.
-	Reason string
+	Reason string `json:"reason"`
 	// Identity is the q-gram identity estimate that drove the decision
 	// (0 when no estimate was made).
-	Identity float64
+	Identity float64 `json:"identity,omitempty"`
 }
 
 // Decide picks the backend for an AlgoAuto request: WFA for long,

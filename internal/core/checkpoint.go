@@ -101,16 +101,10 @@ func (s *solver) ckptIdent(k, lanes int) uint64 {
 // u only writes column-line segments inside its own row range, so the
 // whole-array copy is the resume state, garbage tails included).
 func (s *solver) saveCheckpoint(grid *gridCache, done int) {
-	k := grid.k
-	lanes := 1
-	if grid.rows[0].G != nil {
-		lanes = 2
-	}
+	k, lanes := grid.k, int(s.k.Mod.Lanes())
 	rows, cols := grid.t.rows(), grid.t.cols()
 	n := 9*4 + 8 + 4 + // header (ident counted as two words) + CRC trailer
-		(k+1)*2*8 +
-		k*lanes*(cols+1)*8 +
-		k*lanes*(rows+1)*8
+		(k+1)*2*8 + int(grid.entries)*8
 	blob := make([]byte, 0, n)
 	var word [8]byte
 	put32 := func(v uint32) {
@@ -171,11 +165,7 @@ func (s *solver) restoreCheckpoint(grid *gridCache) int {
 		return 0
 	}
 	blob = body
-	k := grid.k
-	lanes := 1
-	if grid.rows[0].G != nil {
-		lanes = 2
-	}
+	k, lanes := grid.k, int(s.k.Mod.Lanes())
 	rows, cols := grid.t.rows(), grid.t.cols()
 	r := ckptReader{data: blob}
 	if r.u32() != ckptMagic || r.u32() != ckptVersion ||

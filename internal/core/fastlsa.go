@@ -34,12 +34,32 @@ func alignModel(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kern
 	if err != nil {
 		return Result{}, err
 	}
-	s, err := newSolver(a, b, m, gap, mod, r)
+	s, err := newSolver(a, b, m, gap, mod, r, rect{0, 0, a.Len(), b.Len()})
 	if err != nil {
 		return Result{}, err
 	}
 	defer s.close()
 	return s.run()
+}
+
+// checkFeasible is a run's one feasibility check, made before the solve
+// over t reserves or computes anything. The run holds its Base Case planes
+// (base entries) throughout, and solve allocates each grid of the
+// recursion's first bottom-right descent while its parent's is still live,
+// so all of them are held at once. If they exceed the budget's total the
+// run would certainly fail mid-way, so it is refused with ErrBudgetTooSmall
+// instead.
+func checkFeasible(opt resolved, base int64, t rect, lanes int64) error {
+	var grids int64
+	for !t.direct(opt.baseCells) {
+		k := min(opt.k, t.rows(), t.cols())
+		grids += gridEntries(t, k, lanes)
+		t = rect{r0: splitBoundaries(t.r0, t.r1, k)[k-1], c0: splitBoundaries(t.c0, t.c1, k)[k-1], r1: t.r1, c1: t.c1}
+	}
+	if total := opt.budget.Total(); total > 0 && base+grids > total {
+		return fmt.Errorf("%w: base case buffer of %d entries and first-descent grid caches of %d, budget %d", ErrBudgetTooSmall, base, grids, total)
+	}
+	return nil
 }
 
 // solver carries the shared state of one FastLSA run, for either gap model:
@@ -69,20 +89,19 @@ type solver struct {
 	ckptGrid *gridCache
 }
 
-func newSolver(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kernel.Model, opt resolved) (*solver, error) {
+func newSolver(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kernel.Model, opt resolved, t rect) (*solver, error) {
 	// No subproblem outgrows the whole matrix, so planes of
 	// min(BM, (m+1)(n+1)) entries hold every base case the BM test admits.
 	cells := int(min(int64(opt.baseCells), int64(a.Len()+1)*int64(b.Len()+1)))
 	charge := int64(mod.Planes()) * int64(cells)
+	if opt.k == 0 {
+		opt.k = resolveK(a.Len(), b.Len(), opt.workers, mod.Lanes(), opt.budget.Available()-charge)
+	}
+	if err := checkFeasible(opt, charge, t, mod.Lanes()); err != nil {
+		return nil, err
+	}
 	if err := opt.budget.Reserve(charge); err != nil {
 		return nil, fmt.Errorf("core: base case buffer of %d entries: %w", charge, err)
-	}
-	if opt.k == 0 {
-		lanes := int64(1)
-		if mod.IsAffine() {
-			lanes = 2
-		}
-		opt.k = resolveK(a.Len(), b.Len(), opt.workers, lanes, opt.budget.Available())
 	}
 	k := kernel.New(m, mod, opt.pool, opt.c)
 	rt := kernel.Rect{H: opt.pool.GetFull(cells)}
@@ -164,12 +183,8 @@ func (s *solver) solve(t rect, top, left kernel.Edge, state int) (exitR, exitC, 
 		return t.r1, t.c1, state, nil
 	}
 
-	// BASE CASE (Figure 2 lines 1-2): the subproblem's DPM fits in the Base
-	// Case buffer. Thin strips (a single cell row or column) are also solved
-	// directly: their matrix is 2 x (len+1), i.e. no larger than one grid
-	// line, so treating them as base cases costs linear memory but avoids a
-	// degenerate k-way split.
-	if (rows+1)*(cols+1) <= s.opt.baseCells || rows == 1 || cols == 1 {
+	// BASE CASE (Figure 2 lines 1-2).
+	if t.direct(s.opt.baseCells) {
 		return s.baseCase(t, top, left, state)
 	}
 

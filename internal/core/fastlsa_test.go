@@ -174,22 +174,23 @@ func TestLinearSpaceBudget(t *testing.T) {
 	}
 }
 
-// TestBudgetTooSmall: an impossible budget must fail cleanly with
-// memory.ErrExceeded and leave no reservations behind.
+// TestBudgetTooSmall: an impossible budget must be refused up front with
+// ErrBudgetTooSmall, before any cell, and leave no reservations behind.
 func TestBudgetTooSmall(t *testing.T) {
 	a, b := testutil.HomologousPair(500, seq.DNA, 7)
 	budget, err := memory.NewBudget(100)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var c stats.Counters
 	_, err = core.Align(a, b, scoring.DNASimple, scoring.Linear(-4), core.Options{
-		K: 8, BaseCells: 64, Budget: budget, Workers: 1,
+		K: 8, BaseCells: 64, Budget: budget, Workers: 1, Counters: &c,
 	})
 	if err == nil {
 		t.Fatal("expected failure under a 100-entry budget")
 	}
-	if !errors.Is(err, memory.ErrExceeded) {
-		t.Fatalf("error %v does not wrap memory.ErrExceeded", err)
+	if !errors.Is(err, core.ErrBudgetTooSmall) || c.Cells.Load() != 0 {
+		t.Fatalf("error %v after %d cells, want ErrBudgetTooSmall at 0 cells", err, c.Cells.Load())
 	}
 	if budget.Used() != 0 {
 		t.Fatalf("budget leak after failure: %d", budget.Used())

@@ -20,6 +20,16 @@ type rect struct {
 func (t rect) rows() int { return t.r1 - t.r0 }
 func (t rect) cols() int { return t.c1 - t.c0 }
 
+// direct reports whether solve computes t directly instead of splitting
+// it: t is degenerate (no cells), its DPM fits the Base Case buffer of
+// baseCells entries, or it is a thin strip (a single cell row or column),
+// whose matrix is 2 x (len+1), no larger than one grid line, so solving it
+// directly costs linear memory but avoids a degenerate k-way split.
+func (t rect) direct(baseCells int) bool {
+	rows, cols := t.rows(), t.cols()
+	return rows <= 1 || cols <= 1 || (rows+1)*(cols+1) <= baseCells
+}
+
 func (t rect) String() string {
 	return fmt.Sprintf("[%d..%d]x[%d..%d]", t.r0, t.r1, t.c0, t.c1)
 }
@@ -57,6 +67,12 @@ func splitBoundaries(lo, hi, k int) []int {
 	return bs
 }
 
+// gridEntries is the budget charge of t's grid cache: k row lines of
+// cols+1 nodes and k column lines of rows+1 nodes, lanes entries per node.
+func gridEntries(t rect, k int, lanes int64) int64 {
+	return lanes * int64(k) * int64(t.rows()+t.cols()+2)
+}
+
 // newGrid allocates and initialises the grid cache for the general case of
 // subproblem t (allocateGrid + initializeGrid of Figure 2). top spans node
 // row r0 (lanes of len cols+1), left node column c0 (len rows+1); affine
@@ -75,7 +91,7 @@ func newGrid(t rect, k int, top, left kernel.Edge, affine bool, budget *memory.B
 	if affine {
 		lanes = 2
 	}
-	g.entries = lanes * (int64(k)*int64(cols+1) + int64(k)*int64(rows+1))
+	g.entries = gridEntries(t, k, lanes)
 	if err := budget.Reserve(g.entries); err != nil {
 		return nil, fmt.Errorf("core: grid cache for %s (k=%d, %d entries): %w", t, k, g.entries, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fastlsa/internal/align"
-	"fastlsa/internal/fm"
 	"fastlsa/internal/kernel"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
@@ -31,7 +30,10 @@ func AlignMode(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, md align.
 	if err != nil {
 		return Result{}, err
 	}
-	s, err := newSolver(a, b, m, gap, kernel.FromGap(gap), r)
+	// The end node, and so the rectangle the recursion solves, is known only
+	// after sweep 1: the feasibility check covers the Base Case planes here
+	// and the recursion's grids once the rectangle is clipped.
+	s, err := newSolver(a, b, m, gap, kernel.FromGap(gap), r, rect{})
 	if err != nil {
 		return Result{}, err
 	}
@@ -51,7 +53,11 @@ func AlignMode(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, md align.
 	if err := s.k.Forward(a.Residues, b.Residues, top, left, lastRow, lastCol); err != nil {
 		return Result{}, err
 	}
-	endR, endC, score := fm.ModeEndFromEdges(lastRow.H, lastCol.H, md)
+	endR, endC, score := kernel.ModeEnd(lastRow.H, lastCol.H, md)
+	clip := rect{0, 0, endR, endC}
+	if err := checkFeasible(s.opt, s.baseCharge, clip, s.k.Mod.Lanes()); err != nil {
+		return Result{}, err
+	}
 
 	// Sweep 2: FastLSA over the clipped rectangle [0..endR] x [0..endC].
 	// Free trailing moves lie after the path head; push them first.
@@ -61,8 +67,7 @@ func AlignMode(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, md align.
 	for j := nlen; j > endC; j-- {
 		s.bld.Push(align.Left)
 	}
-	er, ec, _, err := s.solve(rect{0, 0, endR, endC},
-		sliceEdge(top, endC), sliceEdge(left, endR), kernel.StateH)
+	er, ec, _, err := s.solve(clip, sliceEdge(top, endC), sliceEdge(left, endR), kernel.StateH)
 	if err != nil {
 		return Result{}, err
 	}

@@ -20,7 +20,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -169,17 +168,17 @@ func parallelK(workers int) int { return max(DefaultK, 2*workers) }
 // parameter k: the top level holds lanes*k(m+n+2) entries, each deeper
 // level 1/k of the previous; sum <= lanes*k(m+n+2) * k/(k-1).
 func gridNeed(m, n, k int, lanes int64) int64 {
-	top := lanes * int64(k) * int64(m+n+2)
+	top := gridEntries(rect{0, 0, m, n}, k, lanes)
 	return top + top/int64(k-1) + 1
 }
 
-// ErrBudgetTooSmall is returned (wrapped) by SuggestOptions / PlanOptions
-// when the memory budget is below FastLSA's linear-space floor for the
-// problem — no parameter choice can make the run fit. It classifies the
-// failure as caller input (the chosen budget), not an internal fault, so
-// servers can map it to a 4xx the same way they map other invalid-input
-// errors.
-var ErrBudgetTooSmall = errors.New("core: memory budget below FastLSA's linear-space floor")
+// ErrBudgetTooSmall (memory.ErrTooSmall) is returned (wrapped) when a run is
+// refused before its first cell: by SuggestOptions / PlanOptions when the
+// budget is below FastLSA's linear-space floor for the problem, and by a
+// run whose Base Case buffer and first grid descent exceed it
+// (checkFeasible). It classifies the chosen budget as caller input, not an
+// internal fault.
+var ErrBudgetTooSmall = memory.ErrTooSmall
 
 // SuggestOptions derives FastLSA parameters from a memory budget for an
 // m x n problem, following the paper's tuning discussion (§3, §4): reserve a

@@ -70,7 +70,7 @@ func fillTestGrid(t *testing.T, a, b *seq.Sequence, gap scoring.Gap, k int, tigh
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newSolver(a, b, scoring.BLOSUM62, gap, mod, r)
+	s, err := newSolver(a, b, scoring.BLOSUM62, gap, mod, r, rect{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestUnsetKRisesWithWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := newSolver(a, b, scoring.DNASimple, gap, mod, r)
+			s, err := newSolver(a, b, scoring.DNASimple, gap, mod, r, rect{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ func AlignBanded(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, band in
 	width := hi - lo + 1
 
 	entries := int64(mlen+1) * int64(width)
-	if err := budget.Reserve(entries); err != nil {
+	if err := budget.ReserveRun(entries); err != nil {
 		return Result{}, fmt.Errorf("fm: banded DPM of %d x %d entries: %w", mlen+1, width, err)
 	}
 	defer budget.Release(entries)

@@ -41,7 +41,7 @@ func AlignCompact(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget
 	rows, cols := len(ra)+1, len(rb)+1
 	cells := int64(rows) * int64(cols)
 	charged := (cells+7)/8 + int64(cols)
-	if err := budget.Reserve(charged); err != nil {
+	if err := budget.ReserveRun(charged); err != nil {
 		return Result{}, fmt.Errorf("fm: compact DPM of %d direction bytes: %w", cells, err)
 	}
 	defer budget.Release(charged)

@@ -23,16 +23,13 @@ func AlignMode(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, md align.
 	if err := gap.Validate(); err != nil {
 		return Result{}, err
 	}
-	if md.IsGlobal() {
-		return Align(a, b, m, gap, budget, c)
-	}
 	mod := kernel.FromGap(gap)
 	ra, rb := a.Residues, b.Residues
 	rows, cols := len(ra)+1, len(rb)+1
 	entries := int64(rows) * int64(cols)
 	planes := int64(mod.Planes())
-	if err := budget.Reserve(planes * entries); err != nil {
-		return Result{}, fmt.Errorf("fm: mode DPM of %d x %d x %d entries: %w", planes, rows, cols, err)
+	if err := budget.ReserveRun(planes * entries); err != nil {
+		return Result{}, fmt.Errorf("fm: DPM of %d x %d x %d entries: %w", planes, rows, cols, err)
 	}
 	defer budget.Release(planes * entries)
 
@@ -46,7 +43,11 @@ func AlignMode(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, md align.
 		return Result{}, err
 	}
 
-	endR, endC, score := ModeEnd(rt.H, rows, cols, md)
+	lastCol := make([]int64, rows)
+	for r := range lastCol {
+		lastCol[r] = rt.H[r*cols+cols-1]
+	}
+	endR, endC, score := kernel.ModeEnd(rt.H[(rows-1)*cols:], lastCol, md)
 
 	bld := align.NewBuilder(len(ra) + len(rb))
 	// Free trailing moves sit at the end of the path: push them first
@@ -65,51 +66,4 @@ func AlignMode(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, md align.
 		bld.Push(align.Left)
 	}
 	return Result{Score: score, Path: bld.Path()}, nil
-}
-
-// ModeEnd locates the traceback start for the mode in a filled row-major
-// matrix: the best entry among (m, n), the last column if FreeEndA, and the
-// last row if FreeEndB. Ties resolve to (m, n) first, then to larger
-// indices (longer aligned cores).
-func ModeEnd(buf []int64, rows, cols int, md align.Mode) (endR, endC int, score int64) {
-	endR, endC = rows-1, cols-1
-	score = buf[int64(rows)*int64(cols)-1]
-	if md.FreeEndA {
-		for r := rows - 2; r >= 0; r-- {
-			if v := buf[r*cols+cols-1]; v > score {
-				score, endR, endC = v, r, cols-1
-			}
-		}
-	}
-	if md.FreeEndB {
-		for j := cols - 2; j >= 0; j-- {
-			if v := buf[(rows-1)*cols+j]; v > score {
-				score, endR, endC = v, rows-1, j
-			}
-		}
-	}
-	return endR, endC, score
-}
-
-// ModeEndFromEdges is ModeEnd over the last row and last column vectors
-// (for linear-space engines that never store the matrix).
-func ModeEndFromEdges(lastRow, lastCol []int64, md align.Mode) (endR, endC int, score int64) {
-	m, n := len(lastCol)-1, len(lastRow)-1
-	endR, endC = m, n
-	score = lastRow[n]
-	if md.FreeEndA {
-		for r := m - 1; r >= 0; r-- {
-			if lastCol[r] > score {
-				score, endR, endC = lastCol[r], r, n
-			}
-		}
-	}
-	if md.FreeEndB {
-		for j := n - 1; j >= 0; j-- {
-			if lastRow[j] > score {
-				score, endR, endC = lastRow[j], m, j
-			}
-		}
-	}
-	return endR, endC, score
 }

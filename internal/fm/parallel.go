@@ -31,7 +31,7 @@ func AlignParallel(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, worke
 	rows, cols := len(ra), len(rb)
 	stride := cols + 1
 	entries := int64(rows+1) * int64(stride)
-	if err := budget.Reserve(entries); err != nil {
+	if err := budget.ReserveRun(entries); err != nil {
 		return Result{}, fmt.Errorf("fm: parallel DPM of %dx%d entries: %w", rows+1, stride, err)
 	}
 	defer budget.Release(entries)

@@ -40,7 +40,7 @@ func AlignLocal(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget *
 	rows, cols := len(ra)+1, len(rb)+1
 	entries := int64(rows) * int64(cols)
 	planes := int64(mod.Planes())
-	if err := budget.Reserve(planes * entries); err != nil {
+	if err := budget.ReserveRun(planes * entries); err != nil {
 		return LocalResult{}, fmt.Errorf("fm: local DPM of %d x %d x %d entries: %w", planes, rows, cols, err)
 	}
 	defer budget.Release(planes * entries)

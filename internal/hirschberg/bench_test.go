@@ -36,28 +36,3 @@ func BenchmarkAlignAffine(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkScore measures the score-only linear-space sweep for both gap
-// models.
-func BenchmarkScore(b *testing.B) {
-	const n = 1000
-	x, y := testutil.HomologousPair(n, seq.DNA, 44)
-	b.Run("linear", func(b *testing.B) {
-		b.SetBytes(int64(n) * int64(n))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := hirschberg.Score(x, y, scoring.DNASimple, scoring.Linear(-4), nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("affine", func(b *testing.B) {
-		b.SetBytes(int64(n) * int64(n))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := hirschberg.Score(x, y, scoring.DNASimple, scoring.Affine(-8, -2), nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -62,15 +62,11 @@ func Align(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options, 
 	}
 	mod := kernel.FromGap(gap)
 	rows, cols := int64(a.Len()+1), int64(b.Len()+1)
-	lanes := int64(1)
-	if mod.IsAffine() {
-		lanes = 2
-	}
 	// A base case is at most base cells, or a one-row strip of b (linear
 	// gaps solve M == 1 directly), and never more than the whole matrix.
 	baseEntries := min(max(int64(base), 2*cols), rows*cols)
-	charge := lanes*(3*cols+rows) + int64(mod.Planes())*baseEntries
-	if err := budget.Reserve(charge); err != nil {
+	charge := mod.Lanes()*(3*cols+rows) + int64(mod.Planes())*baseEntries
+	if err := budget.ReserveRun(charge); err != nil {
 		return fm.Result{}, fmt.Errorf("hirschberg: rows and base case of %d entries: %w", charge, err)
 	}
 	defer budget.Release(charge)
@@ -90,16 +86,6 @@ func Align(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options, 
 	score := align.ScorePath(a, b, path, m, gap)
 	c.Add(stats.TracebackSteps, int64(path.Len()))
 	return fm.Result{Score: score, Path: path}, nil
-}
-
-// Score computes only the optimal score in O(min(m,n)) space (one kernel
-// sweep; no recursion), for either gap model.
-func Score(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, c *stats.Counters) (int64, error) {
-	if err := gap.Validate(); err != nil {
-		return 0, err
-	}
-	k := kernel.New(m, kernel.FromGap(gap), pool, c)
-	return k.Score(a.Residues, b.Residues)
 }
 
 type solver struct {

@@ -43,8 +43,8 @@ func TestRecomputationFactor(t *testing.T) {
 }
 
 // TestBudget: a run charges its rows and base case against the budget for
-// its whole length, fails with memory.ErrExceeded when they do not fit, and
-// releases every entry either way.
+// its whole length, is refused with memory.ErrTooSmall when they do not fit,
+// and releases every entry either way.
 func TestBudget(t *testing.T) {
 	a, b := testutil.HomologousPair(300, seq.DNA, 9)
 	for _, gap := range []scoring.Gap{scoring.Linear(-4), scoring.Affine(-6, -2)} {
@@ -60,8 +60,8 @@ func TestBudget(t *testing.T) {
 			switch {
 			case tc.fits && (err != nil || budget.Peak() == 0):
 				t.Errorf("%v, budget %d: %v, peak %d", gap, tc.total, err, budget.Peak())
-			case !tc.fits && !errors.Is(err, memory.ErrExceeded):
-				t.Errorf("%v, budget %d: %v, want memory.ErrExceeded", gap, tc.total, err)
+			case !tc.fits && !errors.Is(err, memory.ErrTooSmall):
+				t.Errorf("%v, budget %d: %v, want memory.ErrTooSmall", gap, tc.total, err)
 			}
 			if budget.Used() != 0 {
 				t.Errorf("%v, budget %d: %d entries still reserved", gap, tc.total, budget.Used())

@@ -154,6 +154,8 @@ type JobRecord struct {
 	// State is the terminal state name, "" while the job is live.
 	State string
 	Error string
+	// Finished is the terminal record's time (zero while the job is live).
+	Finished time.Time
 	// HasCheckpoint reports a checkpointed record was seen; the blob itself
 	// lives in the checkpoint store (LoadCheckpoint).
 	HasCheckpoint bool
@@ -312,6 +314,7 @@ func (s *ReplaySummary) apply(r *Record) {
 	case TypeTerminal:
 		job.State = r.State
 		job.Error = r.Error
+		job.Finished = r.At
 	}
 	// Rebuild Pending lazily: cheaper to filter once at the end, but the
 	// list is small and replay is startup-only — recompute terminality here.

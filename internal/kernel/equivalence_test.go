@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fastlsa/internal/align"
-	"fastlsa/internal/fm"
 	"fastlsa/internal/kernel"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
@@ -59,7 +58,7 @@ func semiglobalResult(t *testing.T, k *kernel.Kernel, ra, rb []byte, md align.Mo
 	for r := 0; r <= rows; r++ {
 		lastCol[r] = rt.H[r*(cols+1)+cols]
 	}
-	endR, endC, score := fm.ModeEndFromEdges(lastRow, lastCol, md)
+	endR, endC, score := kernel.ModeEnd(lastRow, lastCol, md)
 	bld := align.NewBuilder(rows + cols)
 	for i := rows; i > endR; i-- {
 		bld.Push(align.Up)
@@ -155,11 +154,11 @@ func TestLinearAffineEquivalenceScoreOnly(t *testing.T) {
 		lin := kernel.New(m, kernel.Linear(ext), nil, nil)
 		aff := kernel.New(m, kernel.Affine(0, ext), nil, nil)
 
-		ls, err := lin.Score(a.Residues, b.Residues)
+		ls, err := lin.Score(a.Residues, b.Residues, align.Global)
 		if err != nil {
 			t.Fatal(err)
 		}
-		as, err := aff.Score(a.Residues, b.Residues)
+		as, err := aff.Score(a.Residues, b.Residues, align.Global)
 		if err != nil {
 			t.Fatal(err)
 		}

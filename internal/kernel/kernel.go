@@ -83,6 +83,10 @@ func FromGap(g scoring.Gap) Model {
 // Planes reports the number of DP planes (1 or 3).
 func (m Model) Planes() int { return m.planes }
 
+// Lanes reports the number of lanes an Edge of the model carries: H, plus
+// the crossing gap lane under the affine model.
+func (m Model) Lanes() int64 { return int64(m.planes+1) / 2 }
+
 // IsAffine reports whether the three-plane recurrence runs. Note this is a
 // property of the selected model, not of the penalties: Affine(0, ext) is
 // affine here even though it scores identically to Linear(ext).

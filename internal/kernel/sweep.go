@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 
+	"fastlsa/internal/align"
 	"fastlsa/internal/stats"
 )
 
@@ -300,17 +301,47 @@ func (k *Kernel) backwardAffine(a, b []byte, bottom, right, outRow, outCol Edge)
 	return nil
 }
 
-// Score computes just the global alignment score of a vs b in O(n) space
-// (one Forward sweep with leading-gap boundaries), for either gap model.
-func (k *Kernel) Score(a, b []byte) (int64, error) {
-	top := k.LeadEdge(len(b), 0)
-	left := k.LeadEdge(len(a), 0)
-	out := k.NewEdge(len(b))
+// Score computes just the alignment score of a vs b in mode md, in O(n)
+// space, for either gap model: one Forward sweep from the mode's leading
+// boundaries, then the mode's best end node off the last row and column
+// (ModeEnd).
+func (k *Kernel) Score(a, b []byte, md align.Mode) (int64, error) {
+	top := k.ModeEdge(len(b), md.FreeStartB)
+	left := k.ModeEdge(len(a), md.FreeStartA)
+	outRow := k.NewEdge(len(b))
+	outCol := k.NewEdge(len(a))
 	defer k.PutEdge(top)
 	defer k.PutEdge(left)
-	defer k.PutEdge(out)
-	if err := k.Forward(a, b, top, left, out, Edge{}); err != nil {
+	defer k.PutEdge(outRow)
+	defer k.PutEdge(outCol)
+	if err := k.Forward(a, b, top, left, outRow, outCol); err != nil {
 		return 0, err
 	}
-	return out.H[len(b)], nil
+	_, _, score := ModeEnd(outRow.H, outCol.H, md)
+	return score, nil
+}
+
+// ModeEnd locates the end node of mode md from the last row and last column
+// of the DPM: the best entry among (m, n), the last column if FreeEndA, and
+// the last row if FreeEndB. Ties resolve to (m, n) first, then to larger
+// indices (longer aligned cores).
+func ModeEnd(lastRow, lastCol []int64, md align.Mode) (endR, endC int, score int64) {
+	m, n := len(lastCol)-1, len(lastRow)-1
+	endR, endC = m, n
+	score = lastRow[n]
+	if md.FreeEndA {
+		for r := m - 1; r >= 0; r-- {
+			if lastCol[r] > score {
+				score, endR, endC = lastCol[r], r, n
+			}
+		}
+	}
+	if md.FreeEndB {
+		for j := n - 1; j >= 0; j-- {
+			if lastRow[j] > score {
+				score, endR, endC = lastRow[j], m, j
+			}
+		}
+	}
+	return endR, endC, score
 }

@@ -6,6 +6,7 @@
 package memory
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -28,6 +29,13 @@ type Budget struct {
 // ErrExceeded is returned (wrapped) when a reservation would overflow the
 // budget.
 var ErrExceeded = fmt.Errorf("memory: budget exceeded")
+
+// ErrTooSmall is returned (wrapped) when a run is refused before its first
+// cell because what it must hold at once exceeds the budget's total: no
+// retry and no concurrent release can make it fit. It classifies the budget
+// as a caller mistake, unlike ErrExceeded, which a run can meet mid-way or
+// lose in a race with other holders of a shared budget.
+var ErrTooSmall = errors.New("memory: budget too small for the run")
 
 // NewBudget creates a budget of total units. total <= 0 is rejected; use a
 // nil *Budget for "unlimited".
@@ -72,6 +80,15 @@ func (b *Budget) Reserve(n int64) error {
 			return nil
 		}
 	}
+}
+
+// ReserveRun is Reserve for the whole up-front charge of a run, n units: a
+// charge above the total can never fit and fails with ErrTooSmall.
+func (b *Budget) ReserveRun(n int64) error {
+	if b != nil && n > b.total {
+		return fmt.Errorf("%w: want %d units, total %d", ErrTooSmall, n, b.total)
+	}
+	return b.Reserve(n)
 }
 
 // Release returns n units to the budget. Releasing more than is in use is a

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fastlsa/internal/align"
-	"fastlsa/internal/hirschberg"
 	"fastlsa/internal/memory"
 	"fastlsa/internal/obs"
 	"fastlsa/internal/scoring"
@@ -20,7 +19,7 @@ import (
 
 // TestBiAlignDifferential is the linear-space pin: across divergence levels,
 // scoring systems and seeds, BiAlign must agree with the unidirectional
-// kernel and the kernel-layer (hirschberg) score, and its stitched path must
+// kernel and the kernel-layer score, and its stitched path must
 // be a valid (0,0)→(m,n) walk re-scoring to exactly the reported score.
 func TestBiAlignDifferential(t *testing.T) {
 	systems := []struct {
@@ -54,12 +53,12 @@ func TestBiAlignDifferential(t *testing.T) {
 					if res.Score != uni.Score {
 						t.Fatalf("seed %d: biwfa score %d, wfa %d", seed, res.Score, uni.Score)
 					}
-					want, err := hirschberg.Score(a, b, sys.matrix, sys.gap, nil)
+					want, err := kernelScore(a, b, sys.matrix, sys.gap)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if res.Score != want {
-						t.Fatalf("seed %d: biwfa score %d, hirschberg %d", seed, res.Score, want)
+						t.Fatalf("seed %d: biwfa score %d, kernel %d", seed, res.Score, want)
 					}
 					if err := res.Path.Validate(a.Len(), b.Len()); err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
@@ -89,7 +88,7 @@ func TestBiAlignLongPairs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("div %.2f seed %d: %v", d, seed, err)
 			}
-			want, err := hirschberg.Score(a, b, scoring.DNASimple, scoring.Linear(-4), nil)
+			want, err := kernelScore(a, b, scoring.DNASimple, scoring.Linear(-4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +122,7 @@ func TestBiAlignLengthSkew(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q vs %q: %v", tc[0], tc[1], err)
 		}
-		want, err := hirschberg.Score(a, b, scoring.DNASimple, gap, nil)
+		want, err := kernelScore(a, b, scoring.DNASimple, gap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +367,7 @@ func FuzzWFADifferential(f *testing.F) {
 			{scoring.DNASimple, scoring.Linear(-4)},
 			{scoring.DNASimple, scoring.Affine(-6, -2)},
 		} {
-			want, err := hirschberg.Score(a, b, sys.matrix, sys.gap, nil)
+			want, err := kernelScore(a, b, sys.matrix, sys.gap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,7 +380,7 @@ func FuzzWFADifferential(f *testing.F) {
 				t.Fatal(err)
 			}
 			if uni.Score != want || bi.Score != want {
-				t.Fatalf("scores diverge: hirschberg %d, wfa %d, biwfa %d", want, uni.Score, bi.Score)
+				t.Fatalf("scores diverge: kernel %d, wfa %d, biwfa %d", want, uni.Score, bi.Score)
 			}
 			if err := bi.Path.Validate(a.Len(), b.Len()); err != nil {
 				t.Fatal(err)
