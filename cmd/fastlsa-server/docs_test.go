@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -18,7 +19,9 @@ import (
 
 // TestDocsNameEverything checks that docs/ names, in full, every metric
 // family a server with a journal and a corpus exposes, every flag main.go
-// declares and every route the server registers.
+// declares and every route the server registers; and, the other way round,
+// that every fastlsa_* family and every METHOD /v1/... route docs/ names
+// exists on that server.
 func TestDocsNameEverything(t *testing.T) {
 	docs := readDocs(t)
 
@@ -33,9 +36,15 @@ func TestDocsNameEverything(t *testing.T) {
 		h.Close()
 		_ = s.shutdown(context.Background())
 	})
-	for family := range metricTypes(t, h.URL) {
+	families := metricTypes(t, h.URL)
+	for family := range families {
 		if !named(docs, `\w`, family, `\w`) {
 			t.Errorf("metric family %s is not named in docs/", family)
+		}
+	}
+	for _, m := range docFamilies.FindAllStringSubmatch(docs, -1) {
+		if !exposes(families, m[1]) {
+			t.Errorf("docs/ names metric %s, which the server does not expose", m[1])
 		}
 	}
 
@@ -48,11 +57,50 @@ func TestDocsNameEverything(t *testing.T) {
 			t.Errorf("flag -%s is not named in docs/", f)
 		}
 	}
+	mux := http.NewServeMux()
 	for _, r := range routes {
 		if !named(docs, `\w`, r, `\w/{`) {
 			t.Errorf("route %q is not named in docs/", r)
 		}
+		mux.Handle(r, http.NotFoundHandler())
 	}
+	for _, m := range docRoutes.FindAllStringSubmatch(docs, -1) {
+		if _, pattern := mux.Handler(httptest.NewRequest(m[1], m[2], nil)); pattern == "" {
+			t.Errorf("docs/ names route %q, which the server does not register", m[0])
+		}
+	}
+}
+
+// docFamilies matches a fastlsa_* metric name in the docs, not inside a
+// longer identifier or a recording rule's level:metric:operation name. A
+// name ending in "_" is a prefix ("fastlsa_go_*").
+var docFamilies = regexp.MustCompile(`(?:^|[^\w:])(fastlsa_[a-z0-9_]+)`)
+
+// docRoutes matches a METHOD /v1/... route in the docs; the path may be a
+// pattern ("/v1/jobs/{id}") or a concrete request path.
+var docRoutes = regexp.MustCompile(`\b(GET|POST|PUT|PATCH|DELETE) (/v1/[\w/{}-]*)`)
+
+// exposes reports whether families contains name, as a family, as one of a
+// histogram's _bucket/_sum/_count series, or, for a name ending in "_", as
+// a prefix.
+func exposes(families map[string]string, name string) bool {
+	if strings.HasSuffix(name, "_") {
+		for f := range families {
+			if strings.HasPrefix(f, name) {
+				return true
+			}
+		}
+		return false
+	}
+	if _, ok := families[name]; ok {
+		return true
+	}
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok && families[base] == "histogram" {
+			return true
+		}
+	}
+	return false
 }
 
 // readDocs returns the text of every Markdown file under docs/.

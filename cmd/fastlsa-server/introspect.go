@@ -1,11 +1,11 @@
 package main
 
-// Introspection surface: the SLO verdict endpoint, the per-job flight
-// recorder endpoint, and the server-wide incident ring. Together with
-// /metrics and ?trace=1 these form the third observability tier
-// (docs/OBSERVABILITY.md): metrics say *that* something is wrong, traces say
-// *where* one request spent its time, and the flight recorder + incident
-// ring say *what happened* to a specific job after the fact.
+// Introspection surface: the per-job flight recorder endpoint and the
+// server-wide incident ring. Together with /metrics and ?trace=1 these form
+// the third observability tier (docs/OBSERVABILITY.md): metrics say *that*
+// something is wrong, traces say *where* one request spent its time, and the
+// flight recorder + incident ring say *what happened* to a specific job
+// after the fact.
 
 import (
 	"context"
@@ -15,12 +15,6 @@ import (
 
 	"fastlsa"
 	"fastlsa/internal/obs"
-)
-
-// SLO objective names wired at startup (see newServer).
-const (
-	sloAlign  = "align-p99"
-	sloErrors = "error-rate"
 )
 
 // defaultIncidents bounds the incident ring.
@@ -89,13 +83,9 @@ func (ir *incidentRing) snapshot() []incident {
 }
 
 // observeRequest is the completion hook behind every route (wired through
-// obs.MiddlewareObserved): it feeds the SLO burn-rate accounting and captures
-// 5xx responses — overload sheds included — into the incident ring.
+// obs.MiddlewareObserved): it captures 5xx responses — overload sheds
+// included — into the incident ring.
 func (s *server) observeRequest(sm obs.RequestSample) {
-	if sm.Route == "POST /v1/align" {
-		s.slos.Observe(sloAlign, sm.Duration > s.cfg.SLOAlignP99)
-	}
-	s.slos.Observe(sloErrors, sm.Status >= 500)
 	if sm.Status >= 500 {
 		s.incidents.add(incident{
 			At: time.Now(), Kind: "http-5xx",
@@ -128,30 +118,6 @@ func (s *server) watchJob(j *fastlsa.Job) {
 		}
 		s.incidents.add(inc)
 	}()
-}
-
-// sloResponse is the GET /v1/slo reply: every objective's multi-window burn
-// rates plus a single roll-up verdict.
-type sloResponse struct {
-	SLOs []obs.SLOReport `json:"slos"`
-	// Breached is true when any objective burns its error budget faster than
-	// allowed on both the 5m and 1h windows.
-	Breached bool `json:"breached"`
-}
-
-// handleSLO reports the declarative objectives' burn-rate verdicts.
-func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	reps := s.slos.Report()
-	if reps == nil {
-		reps = []obs.SLOReport{}
-	}
-	resp := sloResponse{SLOs: reps}
-	for _, rep := range reps {
-		if rep.Breached {
-			resp.Breached = true
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleIncidents serves the incident ring, newest first.
@@ -188,17 +154,11 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // refreshScrapeMetrics recomputes the scrape-time families /metrics cannot
-// derive from closures alone: the SLO burn-rate gauges, the per-(backend,
-// phase) CPU-attribution counters (diffed from the obs accumulator so the
-// exported series stays monotonic), and the cached runtime snapshot behind
-// the fastlsa_go_* families. The wrapped /metrics handler calls it before
-// every exposition.
+// derive from closures alone: the per-(backend, phase) CPU-attribution
+// counters (diffed from the obs accumulator so the exported series stays
+// monotonic) and the cached runtime snapshot behind the fastlsa_go_*
+// families. The wrapped /metrics handler calls it before every exposition.
 func (s *server) refreshScrapeMetrics() {
-	for _, rep := range s.slos.Report() {
-		for _, w := range rep.Windows {
-			s.sloBurn.With(rep.Name, w.Window).Set(w.BurnRate)
-		}
-	}
 	s.scrapeMu.Lock()
 	for i, p := range obs.PhaseSeconds() {
 		if d := p.Seconds - s.phaseSeen[i]; d > 0 {

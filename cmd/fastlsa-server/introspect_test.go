@@ -212,84 +212,6 @@ func TestJobViewEventsOptIn(t *testing.T) {
 	}
 }
 
-// TestSLOVerdictEndpoint: with an absurdly tight latency objective a single
-// align consumes the whole error budget, and /v1/slo reports the breach on
-// both burn windows.
-func TestSLOVerdictEndpoint(t *testing.T) {
-	srv := httptest.NewServer(newServer(serverConfig{
-		DefaultWorkers: 1,
-		SLOAlignP99:    time.Nanosecond, // every real align misses this
-	}))
-	defer srv.Close()
-
-	if resp, out := postJSON(t, srv.URL+"/v1/align", alignBody); resp.StatusCode != http.StatusOK {
-		t.Fatalf("align status %d: %v", resp.StatusCode, out)
-	}
-
-	// The SLO observation rides the request-completion hook, which can land
-	// just after the response; poll briefly.
-	var verdict struct {
-		SLOs []struct {
-			Name        string  `json:"name"`
-			Target      float64 `json:"target"`
-			ThresholdMs float64 `json:"thresholdMs,omitempty"`
-			Breached    bool    `json:"breached"`
-			Windows     []struct {
-				Window   string  `json:"window"`
-				BurnRate float64 `json:"burnRate"`
-			} `json:"windows"`
-		} `json:"slos"`
-		Breached bool `json:"breached"`
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(srv.URL + "/v1/slo")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&verdict)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decode /v1/slo: %v", err)
-		}
-		if verdict.Breached || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	if !verdict.Breached {
-		t.Fatalf("verdict not breached after a guaranteed SLO miss: %+v", verdict)
-	}
-	byName := map[string]int{}
-	for i, s := range verdict.SLOs {
-		byName[s.Name] = i
-	}
-	ai, ok := byName["align-p99"]
-	if !ok {
-		t.Fatalf("no align-p99 objective in %+v", verdict.SLOs)
-	}
-	align := verdict.SLOs[ai]
-	if !align.Breached {
-		t.Errorf("align-p99 not breached: %+v", align)
-	}
-	if len(align.Windows) != 2 || align.Windows[0].Window != "5m" || align.Windows[1].Window != "1h" {
-		t.Fatalf("align-p99 windows = %+v, want 5m and 1h", align.Windows)
-	}
-	for _, w := range align.Windows {
-		if w.BurnRate < 1 {
-			t.Errorf("window %s burn = %v, want >= 1 (every event was bad)", w.Window, w.BurnRate)
-		}
-	}
-	ei, ok := byName["error-rate"]
-	if !ok {
-		t.Fatalf("no error-rate objective in %+v", verdict.SLOs)
-	}
-	if errSLO := verdict.SLOs[ei]; errSLO.Breached {
-		t.Errorf("error-rate breached with only 200s served: %+v", errSLO)
-	}
-}
-
 // TestIncidentRingCapturesFailures: a failed sync align must leave both an
 // http-5xx incident (the 500 response) and a job-failed incident carrying the
 // job's flight-recorder timeline in /v1/debug/incidents.
@@ -359,50 +281,9 @@ func TestIncidentRingCapturesFailures(t *testing.T) {
 	}
 }
 
-// TestBreakerBurnSheds: with -breaker-burn coupling armed, an error storm
-// that torches the error-rate budget sheds synchronous requests with a
-// Retry-After 503 even though the queue is empty.
-func TestBreakerBurnSheds(t *testing.T) {
-	if err := fault.Arm("engine.worker:error", 1); err != nil {
-		t.Fatalf("Arm: %v", err)
-	}
-	defer fault.Disarm()
-
-	srv := httptest.NewServer(newServer(serverConfig{
-		DefaultWorkers: 1,
-		BreakerBurn:    2, // shed when the 5m error-rate burn hits 2x
-	}))
-	defer srv.Close()
-
-	// One 500 against the default 0.1% error budget burns at 1000x.
-	resp, _ := postJSON(t, srv.URL+"/v1/align", alignBody)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("seed failure: status %d, want 500", resp.StatusCode)
-	}
-	fault.Disarm()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, out := postJSON(t, srv.URL+"/v1/align", alignBody)
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("burn-shed 503 lacks Retry-After")
-			}
-			if hint, _ := out["retryAfterMs"].(float64); hint <= 0 {
-				t.Errorf("burn-shed 503 retryAfterMs = %v, want > 0", out["retryAfterMs"])
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sync align never shed under fast burn; last status %d", resp.StatusCode)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestMetricsNewFamilies lints the whole exposition (scrapeMetrics enforces
-// the text format strictly) and pins the families this layer added: SLO burn
-// gauges, phase seconds, runtime health and build info.
+// the text format strictly) and pins the families this layer added: phase
+// seconds, runtime health and build info.
 func TestMetricsNewFamilies(t *testing.T) {
 	srv := httptest.NewServer(newServer(serverConfig{
 		DefaultWorkers: 1,
@@ -424,18 +305,6 @@ func TestMetricsNewFamilies(t *testing.T) {
 			}
 		}
 		return hits
-	}
-
-	// SLO burn: both objectives x both windows, as labelled series.
-	for _, want := range []string{
-		`fastlsa_slo_burn_rate{slo="align-p99",window="5m"}`,
-		`fastlsa_slo_burn_rate{slo="align-p99",window="1h"}`,
-		`fastlsa_slo_burn_rate{slo="error-rate",window="5m"}`,
-		`fastlsa_slo_burn_rate{slo="error-rate",window="1h"}`,
-	} {
-		if _, ok := m[want]; !ok {
-			t.Errorf("missing series %s (have %v)", want, series("fastlsa_slo_burn_rate"))
-		}
 	}
 
 	// Phase seconds: every (backend, phase) series is exported, none

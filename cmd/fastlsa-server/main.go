@@ -17,7 +17,6 @@
 //	POST   /v1/batch       many pairwise alignments, admitted atomically
 //	GET    /v1/stats       engine counters (queue, workers, outcomes)
 //	GET    /metrics        Prometheus text-format metrics
-//	GET    /v1/slo               SLO burn-rate verdicts (5m/1h windows)
 //	GET    /v1/jobs/{id}/events  one job's flight-recorder timeline
 //	GET    /v1/debug/incidents   recent 5xx responses and failed jobs
 //
@@ -56,18 +55,16 @@
 // with an X-Request-ID that is honored when the client sent one, echoed in
 // the response, and attached to the engine job it spawns. /metrics exposes
 // per-route latency histograms, engine queue gauges, service-wide alignment
-// counters, SLO burn-rate gauges, per-(backend, phase) wall seconds and
-// process runtime gauges. POST /v1/align?trace=1 (or "trace": true in the
-// body) returns a Chrome trace_event JSON profile of the run. Every job
-// carries a bounded flight recorder (GET /v1/jobs/{id}/events); recent 5xx
-// responses and failed jobs land in the incident ring at
-// /v1/debug/incidents. -slo-align-p99 and -slo-error-rate declare the
-// objectives behind GET /v1/slo; -breaker-burn couples the overload breaker
-// to the error-rate fast burn. -prof-labels (on by default) attaches pprof
-// labels (job_id, backend, phase) to alignment work so CPU profiles
-// attribute samples per solver phase. -debug-addr serves net/http/pprof and
-// expvar on a separate listener, so profiling stays off the public port. See
-// docs/OBSERVABILITY.md.
+// counters, per-(backend, phase) wall seconds and process runtime gauges;
+// docs/OBSERVABILITY.md gives the burn-rate recording rules over them. POST
+// /v1/align?trace=1 (or "trace": true in the body) returns a Chrome
+// trace_event JSON profile of the run. Every job carries a bounded flight
+// recorder (GET /v1/jobs/{id}/events); recent 5xx responses and failed jobs
+// land in the incident ring at /v1/debug/incidents. -prof-labels (on by
+// default) attaches pprof labels (job_id, backend, phase) to alignment work
+// so CPU profiles attribute samples per solver phase. -debug-addr serves
+// net/http/pprof and expvar on a separate listener, so profiling stays off
+// the public port. See docs/OBSERVABILITY.md.
 //
 // Example:
 //
@@ -117,11 +114,7 @@ func main() {
 		drainSec   = flag.Int("drain", 30, "shutdown drain deadline in seconds")
 		debugAddr  = flag.String("debug-addr", "", "listen address for pprof and expvar (empty = disabled)")
 		quiet      = flag.Bool("quiet", false, "disable per-request access logs")
-
-		sloAlignP99 = flag.Duration("slo-align-p99", time.Second, "align-p99 SLO latency threshold (99% of POST /v1/align under this; 0 disables)")
-		sloErrRate  = flag.Float64("slo-error-rate", 0.001, "error-rate SLO: allowed fraction of 5xx responses (0 disables)")
-		brkBurn     = flag.Float64("breaker-burn", 0, "error-rate fast-burn rate that also sheds synchronous requests (0 disables)")
-		profLabels  = flag.Bool("prof-labels", true, "attach pprof labels (job_id, backend, phase) to alignment work")
+		profLabels = flag.Bool("prof-labels", true, "attach pprof labels (job_id, backend, phase) to alignment work")
 
 		dataDir      = flag.String("data-dir", "", "directory for the durable job journal; async jobs survive crashes and restarts (empty = in-memory only)")
 		journalFsync = flag.String("journal-fsync", "interval", "journal fsync policy: always, interval or never")
@@ -164,16 +157,6 @@ func main() {
 			corpus.LoadDur.Round(time.Millisecond), corpus.BuildDur.Round(time.Millisecond))
 	}
 
-	// Flag value 0 means "disable the objective"; the config encodes that as
-	// a negative value so its zero value can keep selecting the default.
-	alignSLO, errSLO := *sloAlignP99, *sloErrRate
-	if alignSLO == 0 {
-		alignSLO = -1
-	}
-	if errSLO == 0 {
-		errSLO = -1
-	}
-
 	if !journal.ValidFsync(*journalFsync) {
 		log.Fatalf("-journal-fsync: unknown policy %q (want always, interval or never)", *journalFsync)
 	}
@@ -195,9 +178,6 @@ func main() {
 		SearchRate:         *searchRate,
 		SearchBurst:        *searchBurst,
 		StreamTimeout:      timeout,
-		SLOAlignP99:        alignSLO,
-		SLOErrorRate:       errSLO,
-		BreakerBurn:        *brkBurn,
 		ProfLabels:         *profLabels,
 		DataDir:            *dataDir,
 		JournalFsync:       *journalFsync,

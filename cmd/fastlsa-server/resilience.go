@@ -99,14 +99,6 @@ type breaker struct {
 	threshold time.Duration // <= 0 disables the queue-wait breaker
 	cooldown  time.Duration
 
-	// burn/burnLimit optionally couple the breaker to the SLO layer
-	// (-breaker-burn): while burn() — the error-rate objective's fast-window
-	// burn rate — is at or over burnLimit, synchronous requests are shed even
-	// though queue waits look healthy. An error storm consumes the error
-	// budget long before it backs up the queue.
-	burn      func() float64
-	burnLimit float64 // <= 0 disables the burn coupling
-
 	mu        sync.Mutex
 	window    []time.Duration // ring of recent queue waits
 	n         int             // samples in window (<= len(window))
@@ -179,14 +171,7 @@ func (b *breaker) p95Locked() time.Duration {
 }
 
 // allow reports whether a synchronous request may proceed, counting sheds.
-// Shedding triggers on either signal: an open queue-wait breaker, or the
-// SLO fast-burn coupling reporting the error budget burning at or over
-// burnLimit.
 func (b *breaker) allow(now time.Time) bool {
-	if b.burnLimit > 0 && b.burn != nil && b.burn() >= b.burnLimit {
-		b.shed.Add(1)
-		return false
-	}
 	if b.threshold <= 0 {
 		return true
 	}

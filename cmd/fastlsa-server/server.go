@@ -68,17 +68,6 @@ type serverConfig struct {
 	// bypass the buffering http.TimeoutHandler, so the deadline rides on
 	// the request context instead (0 = 5 minutes).
 	StreamTimeout time.Duration
-	// SLOAlignP99 is the latency threshold of the align-p99 objective: 99% of
-	// POST /v1/align requests must finish under it (0 selects 1s; negative
-	// disables the objective).
-	SLOAlignP99 time.Duration
-	// SLOErrorRate is the allowed fraction of 5xx responses under the
-	// error-rate objective (0 selects 0.001; negative disables it).
-	SLOErrorRate float64
-	// BreakerBurn, when > 0, also trips the overload breaker's shedding when
-	// the error-rate objective's fast (5m) burn rate reaches this value, so
-	// an error storm sheds synchronous load even while queue waits look fine.
-	BreakerBurn float64
 	// ProfLabels switches pprof label attribution (job_id/backend/phase) on
 	// for work run through this server (process-wide; see obs.SetProfLabels).
 	ProfLabels bool
@@ -115,12 +104,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.StreamTimeout == 0 {
 		c.StreamTimeout = 5 * time.Minute
 	}
-	if c.SLOAlignP99 == 0 {
-		c.SLOAlignP99 = time.Second
-	}
-	if c.SLOErrorRate == 0 {
-		c.SLOErrorRate = 0.001
-	}
 	return c
 }
 
@@ -156,11 +139,6 @@ type server struct {
 	// limiter rate-limits /v1/search per client (nil = unlimited).
 	corpus  *fastlsa.Corpus
 	limiter *rateLimiter
-	// slos tracks the declarative objectives' burn rates (nil when every
-	// objective is disabled — the nil *SLOSet is a no-op); sloBurn is their
-	// /metrics exposure, refreshed at scrape time.
-	slos    *obs.SLOSet
-	sloBurn *obs.GaugeVec
 	// phaseSecs exports obs.PhaseSeconds, the wall time spent inside each
 	// (backend, phase) bracket; phaseSeen holds the last drained totals (in
 	// PhaseSeconds order) so the counter only ever receives positive deltas.
@@ -240,31 +218,6 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 		s.recoveryTrace = obs.NewTrace(0)
 		s.recovering.Store(true)
 	}
-	// Declarative objectives: align-p99 classifies POST /v1/align latency
-	// against cfg.SLOAlignP99, error-rate classifies every response's status.
-	// A rejected set (all objectives disabled) leaves s.slos nil, which the
-	// obs package treats as a no-op.
-	var objectives []obs.Objective
-	if cfg.SLOAlignP99 > 0 {
-		objectives = append(objectives, obs.Objective{
-			Name: sloAlign, Target: 0.99, Threshold: cfg.SLOAlignP99,
-		})
-	}
-	if cfg.SLOErrorRate > 0 && cfg.SLOErrorRate < 1 {
-		objectives = append(objectives, obs.Objective{
-			Name: sloErrors, Target: 1 - cfg.SLOErrorRate,
-		})
-	}
-	if len(objectives) > 0 {
-		s.slos, _ = obs.NewSLOSet(objectives...)
-	}
-	// Optional fast-burn coupling: the breaker also sheds while the
-	// error-rate objective burns its budget at >= cfg.BreakerBurn on the
-	// short window (docs/RESILIENCE.md).
-	if cfg.BreakerBurn > 0 && s.slos != nil {
-		s.breaker.burnLimit = cfg.BreakerBurn
-		s.breaker.burn = func() float64 { return s.slos.Burn(sloErrors, obs.SLOShortWindow) }
-	}
 	if cfg.ProfLabels {
 		obs.SetProfLabels(true)
 	}
@@ -301,14 +254,13 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}))
 	s.handle(mux, "GET /readyz", http.HandlerFunc(s.handleReadyz))
-	// The scrape-time families (SLO burn gauges, CPU-attribution counters,
-	// runtime snapshot) are recomputed just before each exposition.
+	// The scrape-time families (CPU-attribution counters, runtime snapshot)
+	// are recomputed just before each exposition.
 	metricsHandler := s.reg.Handler()
 	s.handle(mux, "GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.refreshScrapeMetrics()
 		metricsHandler.ServeHTTP(w, r)
 	}))
-	s.handle(mux, "GET /v1/slo", http.HandlerFunc(s.handleSLO))
 	s.handle(mux, "GET /v1/debug/incidents", http.HandlerFunc(s.handleIncidents))
 	s.handle(mux, "GET /v1/matrices", http.HandlerFunc(handleMatrices))
 	s.handle(mux, "POST /v1/align", withLimits(cfg, s.handleAlign))
@@ -337,9 +289,9 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 // handle registers pattern on mux behind the observability middleware: every
 // request gets an X-Request-ID (honored when the client sent one), a route-
 // labelled latency/status observation, a structured access-log record, and a
-// completion-hook sample feeding the SLO burn accounting and the incident
-// ring. The mux pattern doubles as the route label so /metrics cardinality
-// stays bounded by the route table, never by request paths.
+// completion-hook sample feeding the incident ring. The mux pattern doubles
+// as the route label so /metrics cardinality stays bounded by the route
+// table, never by request paths.
 func (s *server) handle(mux *http.ServeMux, pattern string, h http.Handler) {
 	mux.Handle(pattern, obs.MiddlewareObserved(pattern, s.logger, s.httpm, s.observeRequest, h))
 }
@@ -461,13 +413,9 @@ func (s *server) registerMetrics() {
 			return float64(s.metrics.Cells.Load()) / up
 		})
 
-	// SLO burn rates and phase seconds: both refreshed by
-	// refreshScrapeMetrics just before each /metrics exposition. Every
-	// (backend, phase) series is exported from the start, at zero until a
-	// run enters the phase.
-	s.sloBurn = s.reg.GaugeVec("fastlsa_slo_burn_rate",
-		"Error-budget burn rate per objective and window (1 = burning exactly at the objective's allowance).",
-		"slo", "window")
+	// Phase seconds: refreshed by refreshScrapeMetrics just before each
+	// /metrics exposition. Every (backend, phase) series is exported from the
+	// start, at zero until a run enters the phase.
 	s.phaseSecs = s.reg.CounterVec("fastlsa_phase_seconds_total",
 		"Wall-clock seconds spent inside solver and search phases, by backend and phase.",
 		"backend", "phase")

@@ -133,6 +133,8 @@ func TestAlignValidation(t *testing.T) {
 		{`{"a":"ACGT","b":"ACGT","matrix":"dna","gap":{"extend":-4},"local":true,"mode":"overlap"}`, http.StatusOK},
 		// An affine gap on a linear-only engine is a refused option.
 		{`{"a":"ACGT","b":"ACGT","matrix":"dna","gap":{"open":-6,"extend":-2},"algorithm":"compact"}`, http.StatusUnprocessableEntity},
+		// So is a negative worker count.
+		{`{"a":"ACGTACGT","b":"ACGTTCGT","matrix":"dna","workers":-1}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, srv.URL+"/v1/align", tc.body)

@@ -553,6 +553,10 @@ func TestConformanceErrors(t *testing.T) {
 		{"nil matrix", base, func(o *fastlsa.Options) { o.Matrix = nil }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
 		{"positive gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Linear(1) }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
 		{"negative budget", base, func(o *fastlsa.Options) { o.MemoryBudget = -1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"K 1", base, func(o *fastlsa.Options) { o.K = 1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"K -3", base, func(o *fastlsa.Options) { o.K = -3 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"BaseCells 3", base, func(o *fastlsa.Options) { o.BaseCells = 3 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"negative workers", base, func(o *fastlsa.Options) { o.Workers = -1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
 		{"budget too small", base, func(o *fastlsa.Options) { o.MemoryBudget = 64 }, [...]errClass{tooSmall, tooSmall, tooSmall, tooSmall, tooSmall, errExceeded, tooSmall, tooSmall, tooSmall, tooSmall}},
 		{"pre-cancelled context", base, func(o *fastlsa.Options) { o.Context = cancelled }, [...]errClass{errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled}},
 		{"ends-free mode", base, func(o *fastlsa.Options) { o.Mode = align.Overlap }, [...]errClass{ok, ok, ok, invalid, invalid, invalid, ok, ok, ok, invalid}},

@@ -451,6 +451,15 @@ func (o Options) normalise() (Options, error) {
 	if o.MemoryBudget < 0 {
 		return o, badInput("negative MemoryBudget %d", o.MemoryBudget)
 	}
+	if o.Workers < 0 {
+		return o, badInput("negative Workers %d", o.Workers)
+	}
+	if o.K != 0 && o.K < 2 {
+		return o, badInput("K = %d, want 0 or >= 2 (paper §3)", o.K)
+	}
+	if o.BaseCells != 0 && o.BaseCells < core.MinBaseCells {
+		return o, badInput("BaseCells = %d, want 0 or >= %d", o.BaseCells, core.MinBaseCells)
+	}
 	if o.Context != nil {
 		if err := o.Context.Err(); err != nil {
 			return o, fmt.Errorf("fastlsa: run abandoned before start: %w", err)

@@ -97,27 +97,21 @@ func NewHTTPMetrics(r *Registry, namespace string) *HTTPMetrics {
 	}
 }
 
-// RequestSample summarises one completed request for observer hooks: SLO
-// classification, incident capture, burn-rate accounting.
+// RequestSample summarises one completed request for observer hooks, such
+// as a server's incident capture.
 type RequestSample struct {
 	Route, Method, RequestID string
 	Status                   int
 	Duration                 time.Duration
 }
 
-// Middleware wraps h with request-id propagation, structured access
-// logging, and per-route metrics. route is the registered pattern label
-// (passed explicitly — patterns are not recoverable from the request under
-// go1.22); logger may be nil to disable access logs; m may be nil to
-// disable metrics.
-func Middleware(route string, logger *slog.Logger, m *HTTPMetrics, h http.Handler) http.Handler {
-	return MiddlewareObserved(route, logger, m, nil, h)
-}
-
-// MiddlewareObserved is Middleware plus a completion hook: onDone (when
-// non-nil) receives one RequestSample after every request, after the status
-// and latency are final. The hook runs on the request goroutine — keep it
-// cheap.
+// MiddlewareObserved wraps h with request-id propagation, structured access
+// logging, per-route metrics and a completion hook. route is the registered
+// pattern label (passed explicitly — patterns are not recoverable from the
+// request under go1.22); logger may be nil to disable access logs; m may be
+// nil to disable metrics. onDone (when non-nil) receives one RequestSample
+// after every request, after the status and latency are final. The hook
+// runs on the request goroutine — keep it cheap.
 func MiddlewareObserved(route string, logger *slog.Logger, m *HTTPMetrics, onDone func(RequestSample), h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)

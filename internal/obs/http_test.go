@@ -12,7 +12,7 @@ import (
 
 func TestMiddlewareRequestID(t *testing.T) {
 	var seen string
-	h := Middleware("GET /x", nil, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := MiddlewareObserved("GET /x", nil, nil, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = RequestID(r.Context())
 		w.WriteHeader(204)
 	}))
@@ -43,7 +43,7 @@ func TestMiddlewareMetricsAndLogs(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
 
-	h := Middleware("POST /v1/align", logger, hm, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := MiddlewareObserved("POST /v1/align", logger, hm, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(422)
 		w.Write([]byte("bad"))
 	}))
@@ -86,7 +86,7 @@ func TestMiddlewareMetricsAndLogs(t *testing.T) {
 func TestStatusWriterDefaultsTo200(t *testing.T) {
 	reg := NewRegistry()
 	hm := NewHTTPMetrics(reg, "d")
-	h := Middleware("GET /ok", nil, hm, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := MiddlewareObserved("GET /ok", nil, hm, nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok")) // implicit 200, no WriteHeader
 	}))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/ok", nil))
