@@ -355,21 +355,3 @@ func BenchmarkE15_BiWFA(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMSA(b *testing.B) {
-	ref := fastlsa.RandomSequence("r", 300, fastlsa.DNA, 51)
-	seqs := []*fastlsa.Sequence{ref}
-	for i := 1; i < 5; i++ {
-		m, err := fastlsa.DefaultHomology.Mutate("m", ref, int64(51+i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		seqs = append(seqs, m)
-	}
-	opt := fastlsa.Options{Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-6), Workers: 1}
-	for i := 0; i < b.N; i++ {
-		if _, err := fastlsa.AlignMSA(seqs, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package fastlsa_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -133,24 +132,5 @@ func TestExplicitInfeasibleRefusedUpFront(t *testing.T) {
 	auto.Algorithm = fastlsa.AlgoAuto
 	if _, err := fastlsa.Align(a, b, auto); err != nil {
 		t.Fatalf("AlgoAuto under the same budget: %v", err)
-	}
-}
-
-// TestAlignMSAPlansAgainstInputs: AlignMSA plans its pairwise FastLSA runs
-// against its two longest inputs, so AlgoAuto fits a budget that each pair
-// fits under AlgoAuto.
-func TestAlignMSAPlansAgainstInputs(t *testing.T) {
-	seqs := make([]*fastlsa.Sequence, 3)
-	for i := range seqs {
-		seqs[i] = fastlsa.RandomSequence(fmt.Sprintf("s%d", i), 4000, fastlsa.DNA, int64(i+1))
-	}
-	res, err := fastlsa.AlignMSA(seqs, fastlsa.Options{
-		Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4), MemoryBudget: 100_000, Workers: 1,
-	})
-	if err != nil {
-		t.Fatalf("AlignMSA under a 100,000-entry budget: %v", err)
-	}
-	if len(res.Rows) != len(seqs) {
-		t.Fatalf("%d rows, want %d", len(res.Rows), len(seqs))
 	}
 }

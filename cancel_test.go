@@ -26,10 +26,6 @@ func TestCancellationPropagates(t *testing.T) {
 	a := fastlsa.RandomSequence("a", n, fastlsa.DNA, 1)
 	b := fastlsa.RandomSequence("b", n, fastlsa.DNA, 2)
 
-	family := make([]*fastlsa.Sequence, 8)
-	for i := range family {
-		family[i] = fastlsa.RandomSequence("f", 3000, fastlsa.DNA, int64(10+i))
-	}
 	db := make([]*fastlsa.Sequence, 64)
 	for i := range db {
 		db[i] = fastlsa.RandomSequence("d", 3000, fastlsa.DNA, int64(100+i))
@@ -54,10 +50,6 @@ func TestCancellationPropagates(t *testing.T) {
 		}},
 		{"align-local", func(ctx context.Context) error {
 			_, err := fastlsa.AlignLocal(a, b, fastlsa.Options{Matrix: fastlsa.DNASimple, Workers: 1, Context: ctx})
-			return err
-		}},
-		{"msa", func(ctx context.Context) error {
-			_, err := fastlsa.AlignMSA(family, fastlsa.Options{Matrix: fastlsa.DNASimple, Workers: 1, Context: ctx})
 			return err
 		}},
 		{"search", func(ctx context.Context) error {

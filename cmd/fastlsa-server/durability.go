@@ -206,11 +206,16 @@ func (s *server) recoverJobs(sum *journal.ReplaySummary) {
 			if s.logger != nil {
 				s.logger.Error("recovery resubmit failed", "job", rec.ID, "err", err)
 			}
-			// A job that cannot be rebuilt must not resurrect forever.
+			// A job that cannot be rebuilt must not resurrect forever, and
+			// stays queryable as failed from this boot on.
+			rec.State, rec.Error, rec.Finished = fastlsa.JobFailed.String(), fmt.Sprintf("recovery: %v", err), time.Now()
 			_ = s.journal.Append(journal.Record{
-				Type: journal.TypeTerminal, JobID: rec.ID, At: time.Now(),
-				State: "failed", Error: fmt.Sprintf("recovery: %v", err),
+				Type: journal.TypeTerminal, JobID: rec.ID, At: rec.Finished,
+				State: rec.State, Error: rec.Error,
 			})
+			s.durableMu.Lock()
+			s.journalDone[rec.ID] = rec
+			s.durableMu.Unlock()
 			continue
 		}
 		recovered++
@@ -271,12 +276,6 @@ func (s *server) buildJobTask(req jobRequest, rec *fastlsa.Recorder) (func(ctx c
 		}
 		task, err := s.alignTask(*req.Align, rec)
 		return task, kind, err
-	case "msa":
-		if req.MSA == nil {
-			return nil, "", fmt.Errorf(`"msa" body required for type msa`)
-		}
-		task, err := s.msaTask(*req.MSA)
-		return task, "msa", err
 	case "search":
 		if req.Search == nil {
 			return nil, "", fmt.Errorf(`"search" body required for type search`)
@@ -284,6 +283,6 @@ func (s *server) buildJobTask(req jobRequest, rec *fastlsa.Recorder) (func(ctx c
 		task, err := s.searchTask(*req.Search, rec)
 		return task, "search", err
 	default:
-		return nil, "", fmt.Errorf("unknown job type %q (want align, msa or search)", req.Type)
+		return nil, "", fmt.Errorf("unknown job type %q (want align or search)", req.Type)
 	}
 }

@@ -403,6 +403,71 @@ func TestJournalPersistsAcrossCleanRestart(t *testing.T) {
 	}
 }
 
+// TestUnrebuildableJobFailsOnRecoveringBoot: a pending job whose journalled
+// request no server can rebuild (here an "msa" job, a type this server does
+// not serve) is failed by recovery and served as failed on the same boot,
+// by id and by its Idempotency-Key. It stays failed across the next
+// restart and is never resubmitted.
+func TestUnrebuildableJobFailsOnRecoveringBoot(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := time.Now().Add(-time.Minute)
+	const id, key = "job-msa-1", "idem-msa-1"
+	if err := j.Append(journal.Record{
+		Type: journal.TypeAccepted, JobID: id, At: accepted, Kind: "msa", IdemKey: key,
+		Payload: json.RawMessage(`{"type":"msa","msa":{"sequences":[{"letters":"ACGT"},{"letters":"ACGA"}]}}`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(s *server, base, boot string) {
+		t.Helper()
+		resp, out := doJSON(t, http.MethodGet, base+"/v1/jobs/"+id, "")
+		if resp.StatusCode != http.StatusOK || out["state"] != "failed" || out["kind"] != "msa" {
+			t.Fatalf("%s boot: GET status %d %v, want 200 failed msa", boot, resp.StatusCode, out)
+		}
+		if e, _ := out["error"].(string); !strings.HasPrefix(e, "recovery: ") {
+			t.Fatalf("%s boot: error %q, want the recovery failure", boot, e)
+		}
+		submitted, serr := time.Parse(time.RFC3339Nano, fmt.Sprint(out["submitted"]))
+		finished, ferr := time.Parse(time.RFC3339Nano, fmt.Sprint(out["finished"]))
+		if serr != nil || ferr != nil || !submitted.Equal(accepted) || finished.Before(submitted) {
+			t.Fatalf("%s boot: submitted %v, finished %v, want the accept time and a later finish", boot, out["submitted"], out["finished"])
+		}
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", strings.NewReader(paperJob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Idempotency-Key", key)
+		resp, out = doRequest(t, req)
+		if resp.StatusCode != http.StatusAccepted || out["id"] != id || out["state"] != "failed" {
+			t.Fatalf("%s boot: Idempotency-Key retry status %d %v, want id %s failed", boot, resp.StatusCode, out, id)
+		}
+		if st := s.eng.Stats(); st.Submitted != 0 || st.Recovered != 0 {
+			t.Fatalf("%s boot: engine submitted %d, recovered %d, want 0 and 0", boot, st.Submitted, st.Recovered)
+		}
+	}
+
+	s1, h1 := durableServer(t, dir, 1)
+	check(s1, h1.URL, "recovering")
+	h1.Close()
+	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s1.shutdown(dctx); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+
+	s2, h2 := durableServer(t, dir, 1)
+	check(s2, h2.URL, "next")
+}
+
 func doRequest(t *testing.T, req *http.Request) (*http.Response, map[string]any) {
 	t.Helper()
 	resp, err := http.DefaultClient.Do(req)

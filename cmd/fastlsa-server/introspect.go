@@ -101,9 +101,11 @@ func (s *server) observeRequest(sm obs.RequestSample) {
 // goroutine always exits.
 func (s *server) watchJob(j *fastlsa.Job) {
 	go func() {
-		_, _ = j.Wait(context.Background())
+		_, err := j.Wait(context.Background())
 		info := j.Info()
-		if info.State != fastlsa.JobFailed {
+		// A job that failed on its client's input (a 4xx) is no fault of
+		// the server's, and must not push real faults out of the ring.
+		if info.State != fastlsa.JobFailed || errStatus(err) < http.StatusInternalServerError {
 			return
 		}
 		inc := incident{

@@ -214,15 +214,20 @@ func TestJobViewEventsOptIn(t *testing.T) {
 
 // TestIncidentRingCapturesFailures: a failed sync align must leave both an
 // http-5xx incident (the 500 response) and a job-failed incident carrying the
-// job's flight-recorder timeline in /v1/debug/incidents.
+// job's flight-recorder timeline in /v1/debug/incidents. A job that failed
+// on its client's input before it (a 422) must leave no incident.
 func TestIncidentRingCapturesFailures(t *testing.T) {
+	srv := testServer(t)
+	resp, out := postJSON(t, srv.URL+"/v1/align", `{"a":"ACGTACGT","b":"ACGTTCGT","matrix":"dna","workers":-1}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("align with workers -1: status %d, want 422 (%v)", resp.StatusCode, out)
+	}
+
 	if err := fault.Arm("engine.worker:error", 1); err != nil {
 		t.Fatalf("Arm: %v", err)
 	}
 	defer fault.Disarm()
-
-	srv := testServer(t)
-	resp, out := postJSON(t, srv.URL+"/v1/align", alignBody)
+	resp, out = postJSON(t, srv.URL+"/v1/align", alignBody)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("align under worker fault: status %d, want 500 (%v)", resp.StatusCode, out)
 	}
@@ -243,7 +248,8 @@ func TestIncidentRingCapturesFailures(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	var saw5xx, sawJob bool
+	var saw5xx bool
+	jobFailed := 0
 	for _, inc := range incidents {
 		switch inc["kind"] {
 		case "http-5xx":
@@ -255,7 +261,7 @@ func TestIncidentRingCapturesFailures(t *testing.T) {
 				t.Errorf("http-5xx status = %v", inc["status"])
 			}
 		case "job-failed":
-			sawJob = true
+			jobFailed++
 			if inc["jobKind"] != "align" {
 				t.Errorf("job-failed kind = %v", inc["jobKind"])
 			}
@@ -276,8 +282,8 @@ func TestIncidentRingCapturesFailures(t *testing.T) {
 			}
 		}
 	}
-	if !saw5xx || !sawJob {
-		t.Fatalf("incidents = %v, want both http-5xx and job-failed", incidents)
+	if !saw5xx || jobFailed != 1 {
+		t.Fatalf("incidents = %v, want one http-5xx and one job-failed", incidents)
 	}
 }
 

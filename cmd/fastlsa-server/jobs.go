@@ -13,9 +13,9 @@ import (
 )
 
 // jobRequest is the POST /v1/jobs body: one alignment task submitted
-// asynchronously. Exactly one of Align/MSA/Search must match Type.
+// asynchronously. Exactly one of Align/Search must match Type.
 type jobRequest struct {
-	// Type selects the task: "align", "msa" or "search".
+	// Type selects the task: "align" or "search".
 	Type string `json:"type"`
 	// Priority orders the queue (higher first; FIFO among equals).
 	Priority int `json:"priority"`
@@ -28,7 +28,6 @@ type jobRequest struct {
 	Retry *retrySpec `json:"retry,omitempty"`
 
 	Align  *alignRequest  `json:"align,omitempty"`
-	MSA    *msaRequest    `json:"msa,omitempty"`
 	Search *searchRequest `json:"search,omitempty"`
 }
 

@@ -7,10 +7,9 @@
 //	GET    /readyz         readiness probe (503 once shutdown drain begins)
 //	GET    /v1/matrices    available scoring matrices
 //	POST   /v1/align       pairwise alignment (global, ends-free, or local)
-//	POST   /v1/msa         progressive multiple sequence alignment
 //	POST   /v1/search      homology search with optional E-value statistics
 //	GET    /v1/search      streaming corpus search (NDJSON; needs -corpus)
-//	POST   /v1/jobs        submit an async job (align, msa or search)
+//	POST   /v1/jobs        submit an async job (align or search)
 //	GET    /v1/jobs        list retained jobs, newest first
 //	GET    /v1/jobs/{id}   poll one job (result included once succeeded)
 //	DELETE /v1/jobs/{id}   cancel a job
@@ -102,7 +101,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		maxLen     = flag.Int("max-len", 1_000_000, "maximum residues per sequence")
 		maxBody    = flag.Int64("max-body", 64<<20, "maximum request body bytes")
-		maxFamily  = flag.Int("max-family", 64, "maximum sequences per MSA request")
 		workers    = flag.Int("workers", 0, "default parallel workers per request (0 = all CPUs)")
 		timeoutSec = flag.Int("timeout", 300, "per-request timeout in seconds")
 		engWorkers = flag.Int("engine-workers", 0, "job engine worker pool size (0 = all CPUs)")
@@ -165,7 +163,6 @@ func main() {
 	app, err := newServerDurable(serverConfig{
 		MaxSequenceLen:     *maxLen,
 		MaxBodyBytes:       *maxBody,
-		MaxMSASequences:    *maxFamily,
 		DefaultWorkers:     *workers,
 		EngineWorkers:      *engWorkers,
 		QueueDepth:         *queueDepth,

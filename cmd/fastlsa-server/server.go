@@ -26,8 +26,6 @@ type serverConfig struct {
 	MaxSequenceLen int
 	// MaxBodyBytes caps the request body (0 selects 64 MiB).
 	MaxBodyBytes int64
-	// MaxMSASequences caps the MSA family size (0 selects 64).
-	MaxMSASequences int
 	// DefaultWorkers is used when a request does not set workers.
 	DefaultWorkers int
 	// EngineWorkers sizes the job engine's worker pool (0 = GOMAXPROCS).
@@ -91,9 +89,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.MaxMSASequences == 0 {
-		c.MaxMSASequences = 64
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
@@ -264,7 +259,6 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 	s.handle(mux, "GET /v1/debug/incidents", http.HandlerFunc(s.handleIncidents))
 	s.handle(mux, "GET /v1/matrices", http.HandlerFunc(handleMatrices))
 	s.handle(mux, "POST /v1/align", withLimits(cfg, s.handleAlign))
-	s.handle(mux, "POST /v1/msa", withLimits(cfg, s.handleMSA))
 	s.handle(mux, "POST /v1/search", withLimits(cfg, s.handleSearch))
 	s.handle(mux, "GET /v1/search", http.HandlerFunc(s.handleSearchGET))
 	s.handle(mux, "POST /v1/jobs", withLimits(cfg, s.handleJobSubmit))
@@ -774,107 +768,6 @@ func orDefault(s, def string) string {
 		return def
 	}
 	return s
-}
-
-// msaRequest is the POST /v1/msa body.
-type msaRequest struct {
-	Sequences []struct {
-		ID      string `json:"id"`
-		Letters string `json:"letters"`
-	} `json:"sequences"`
-	Alphabet string  `json:"alphabet"`
-	Matrix   string  `json:"matrix"`
-	Gap      gapSpec `json:"gap"`
-	Workers  int     `json:"workers"`
-}
-
-// msaResponse is the POST /v1/msa reply.
-type msaResponse struct {
-	Rows       []string `json:"rows"`
-	IDs        []string `json:"ids"`
-	Columns    int      `json:"columns"`
-	SumOfPairs int64    `json:"sumOfPairs"`
-	Tree       string   `json:"tree"`
-}
-
-func (s *server) handleMSA(w http.ResponseWriter, r *http.Request) {
-	var req msaRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	task, err := s.msaTask(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp, err := s.runSync(r, "msa", fastlsa.NewRecorder(0), task)
-	if err != nil {
-		s.writeTaskErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// msaTask validates req and returns the engine task computing the response.
-func (s *server) msaTask(req msaRequest) (func(ctx context.Context) (any, error), error) {
-	cfg := s.cfg
-	if len(req.Sequences) < 2 {
-		return nil, fmt.Errorf("need at least two sequences (got %d)", len(req.Sequences))
-	}
-	if len(req.Sequences) > cfg.MaxMSASequences {
-		return nil, fmt.Errorf("family exceeds the %d-sequence limit", cfg.MaxMSASequences)
-	}
-	matrixName := req.Matrix
-	if matrixName == "" {
-		matrixName = "blosum62"
-	}
-	matrix, err := fastlsa.MatrixByName(matrixName)
-	if err != nil {
-		return nil, err
-	}
-	alphabet := matrix.Alphabet
-	if req.Alphabet != "" {
-		if alphabet, err = fastlsa.ParseAlphabet(req.Alphabet); err != nil {
-			return nil, err
-		}
-	}
-	seqs := make([]*fastlsa.Sequence, 0, len(req.Sequences))
-	ids := make([]string, 0, len(req.Sequences))
-	for i, rs := range req.Sequences {
-		if len(rs.Letters) > cfg.MaxSequenceLen {
-			return nil, fmt.Errorf("sequence %d exceeds the %d-residue limit", i, cfg.MaxSequenceLen)
-		}
-		sq, err := fastlsa.NewSequence(orDefault(rs.ID, fmt.Sprintf("seq%d", i+1)), rs.Letters, alphabet)
-		if err != nil {
-			return nil, err
-		}
-		seqs = append(seqs, sq)
-		ids = append(ids, sq.ID)
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = cfg.DefaultWorkers
-	}
-	return func(ctx context.Context) (any, error) {
-		res, err := fastlsa.AlignMSA(seqs, fastlsa.Options{
-			Matrix:   matrix,
-			Gap:      req.Gap.toGap(),
-			Workers:  workers,
-			Context:  ctx,
-			Counters: s.metrics, // the facade derives a per-run child
-		})
-		if err != nil {
-			return nil, err
-		}
-		return msaResponse{
-			Rows:       res.Rows,
-			IDs:        ids,
-			Columns:    res.Columns,
-			SumOfPairs: res.SumOfPairs,
-			Tree:       res.Tree,
-		}, nil
-	}, nil
 }
 
 // matrixInfo describes one scoring matrix for GET /v1/matrices.

@@ -178,56 +178,6 @@ func TestAlignSequenceLimit(t *testing.T) {
 	}
 }
 
-func TestMSAEndpoint(t *testing.T) {
-	srv := testServer(t)
-	resp, out := postJSON(t, srv.URL+"/v1/msa", `{
-		"matrix": "dna", "gap": {"extend": -6},
-		"sequences": [
-			{"id": "x", "letters": "ACGTACGTACGTACGT"},
-			{"id": "y", "letters": "ACGTTCGTACGAACGT"},
-			{"id": "z", "letters": "ACGTACGAACGTACG"}
-		]
-	}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %v", resp.StatusCode, out)
-	}
-	rows := out["rows"].([]any)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %v", rows)
-	}
-	if out["tree"] == "" || out["columns"].(float64) < 16 {
-		t.Fatalf("bad msa response: %v", out)
-	}
-}
-
-func TestMSAValidation(t *testing.T) {
-	srv := testServer(t)
-	cases := []struct {
-		body string
-		want int
-	}{
-		{`{}`, http.StatusBadRequest},
-		{`{"sequences":[{"letters":"ACGT"}]}`, http.StatusBadRequest},
-		{`{"matrix":"x","sequences":[{"letters":"AC"},{"letters":"AC"}]}`, http.StatusBadRequest},
-		{`{"matrix":"dna","sequences":[{"letters":"AC"},{"letters":"AU"}]}`, http.StatusBadRequest},
-		{`{"matrix":"dna","gap":{"open":-5,"extend":-1},"sequences":[{"letters":"AC"},{"letters":"AC"}]}`, http.StatusUnprocessableEntity},
-	}
-	for _, tc := range cases {
-		resp, out := postJSON(t, srv.URL+"/v1/msa", tc.body)
-		if resp.StatusCode != tc.want {
-			t.Fatalf("body %q -> status %d (want %d): %v", tc.body, resp.StatusCode, tc.want, out)
-		}
-	}
-	// Family-size limit.
-	small := httptest.NewServer(newServer(serverConfig{MaxMSASequences: 2, DefaultWorkers: 1}))
-	defer small.Close()
-	resp, _ := postJSON(t, small.URL+"/v1/msa",
-		`{"matrix":"dna","gap":{"extend":-4},"sequences":[{"letters":"AC"},{"letters":"AC"},{"letters":"AC"}]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("family limit not enforced: %d", resp.StatusCode)
-	}
-}
-
 func TestSearchEndpoint(t *testing.T) {
 	srv := testServer(t)
 	resp, out := postJSON(t, srv.URL+"/v1/search", `{

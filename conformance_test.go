@@ -122,6 +122,9 @@ func facadeSubject(name string, algo fastlsa.Algorithm, caps backend.Capabilitie
 	}}
 }
 
+// parallelWorkers is the worker count of the core/parallel subject.
+const parallelWorkers = 8
+
 // confSubjects lists every aligner of the global/ends-free harness.
 func confSubjects(t testing.TB) []confSubject {
 	var out []confSubject
@@ -167,7 +170,7 @@ func confSubjects(t testing.TB) []confSubject {
 					return fm.Result{}, "", err
 				}
 				res, err := core.Align(c.a, c.b, c.sys.matrix, c.sys.gap, core.Options{
-					K: c.k, BaseCells: c.base, Workers: 8, Budget: budget, Counters: counters,
+					K: c.k, BaseCells: c.base, Workers: parallelWorkers, Budget: budget, Counters: counters,
 					ParallelFillCells: 1,
 				})
 				if err == nil && budget.Used() != 0 {
@@ -211,24 +214,33 @@ func countsEveryCell(served string, c confCase) bool {
 }
 
 // sequentialBound is Theorem 2's recurrence (theory.SequentialCells) for a
-// sequential FastLSA run of c: the most cells the run may count, at the
-// (k, BM) it resolves to. ok is false for runs the recurrence does not
-// model: parallel ones, and ends-free ones, which add a locating sweep.
+// FastLSA run of c: the most cells the run may count, at the (k, BM) it
+// resolves to. The block-based parallel fill computes the cells a
+// sequential run at the same k does, so the bound holds on any worker
+// count. ok is false for ends-free runs, which add a locating sweep the
+// recurrence does not model.
 func sequentialBound(t *testing.T, s confSubject, c confCase) (bound int64, ok bool) {
 	t.Helper()
-	if s.parallel || c.workers != 1 || !c.mode.IsGlobal() {
+	if !c.mode.IsGlobal() {
 		return 0, false
+	}
+	workers := c.workers
+	if s.parallel {
+		workers = parallelWorkers
 	}
 	k, bm := c.k, c.base
 	if s.planned {
-		opt, err := core.PlanOptions(c.a.Len(), c.b.Len(), c.budget, 1, !c.sys.gap.IsLinear(), c.k, c.base)
+		opt, err := core.PlanOptions(c.a.Len(), c.b.Len(), c.budget, workers, !c.sys.gap.IsLinear(), c.k, c.base)
 		if err != nil {
 			t.Fatalf("%s: %v: plan: %v", s.name, c, err)
 		}
 		k, bm = opt.K, opt.BaseCells
 	}
 	if k == 0 {
-		k = core.DefaultK
+		// An unset K resolves to max(DefaultK, 2P) when that grid fits the
+		// budget. Here it always fits: 2P exceeds DefaultK only on
+		// core/parallel, which runs under generousBudget.
+		k = max(core.DefaultK, 2*workers)
 	}
 	if bm == 0 {
 		bm = core.DefaultBaseCells

@@ -189,13 +189,6 @@ func (en *Engine) SubmitAlignLocal(a, b *Sequence, opt Options, jo JobOptions) (
 	}))
 }
 
-// SubmitMSA queues a progressive multiple alignment; the result is *MSA.
-func (en *Engine) SubmitMSA(seqs []*Sequence, opt Options, jo JobOptions) (*Job, error) {
-	return en.e.Submit(jo.submission("msa", func(ctx context.Context) (any, error) {
-		return AlignMSA(seqs, jo.bind(opt, ctx))
-	}))
-}
-
 // SubmitSearch queues a homology search; the result is []SearchHit.
 func (en *Engine) SubmitSearch(query *Sequence, db []*Sequence, opt SearchOptions, jo JobOptions) (*Job, error) {
 	return en.e.Submit(jo.submission("search", func(ctx context.Context) (any, error) {

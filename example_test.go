@@ -54,25 +54,6 @@ func ExampleAlignLocal() {
 	// Output: score 40 at a[4:12]
 }
 
-func ExampleAlignMSA() {
-	s1, _ := fastlsa.NewSequence("s1", "ACGTACGTAC", fastlsa.DNA)
-	s2, _ := fastlsa.NewSequence("s2", "ACGTTCGTAC", fastlsa.DNA)
-	s3, _ := fastlsa.NewSequence("s3", "ACGACGTAC", fastlsa.DNA)
-	res, err := fastlsa.AlignMSA([]*fastlsa.Sequence{s1, s2, s3}, fastlsa.Options{
-		Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-6), Workers: 1,
-	})
-	if err != nil {
-		panic(err)
-	}
-	for _, row := range res.Rows {
-		fmt.Println(row)
-	}
-	// Output:
-	// ACGTACGTAC
-	// ACGTTCGTAC
-	// ACG-ACGTAC
-}
-
 func ExampleAlign_overlap() {
 	// The suffix of a overlaps the prefix of b.
 	a, _ := fastlsa.NewSequence("a", "TTTTTTACGTACGT", fastlsa.DNA)

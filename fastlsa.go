@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/backend"
@@ -14,7 +13,6 @@ import (
 	"fastlsa/internal/index"
 	"fastlsa/internal/kernel"
 	"fastlsa/internal/memory"
-	"fastlsa/internal/msa"
 	"fastlsa/internal/obs"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/search"
@@ -72,8 +70,6 @@ type (
 	Mode = align.Mode
 	// LocalAlignment is a Smith-Waterman local alignment result.
 	LocalAlignment = fm.LocalResult
-	// MSA is a progressive multiple sequence alignment result.
-	MSA = msa.Result
 	// SearchHit is one ranked database match from Search.
 	SearchHit = search.Hit
 	// Index is a q-gram inverted index over a sequence database — the
@@ -483,7 +479,7 @@ const (
 	kindGlobal    entryKind = iota // Align: backend.Decide routes AlgoAuto
 	kindLocal                      // AlignLocal: the backend.LocalAligner backends
 	kindScore                      // Score: one score-only sweep, no backend
-	kindBanded                     // AlignBanded with band <= 0 and AlignMSA: FastLSA
+	kindBanded                     // AlignBanded with band <= 0: FastLSA
 	kindFixedBand                  // AlignBanded with band > 0: the banded full matrix, no backend
 )
 
@@ -510,7 +506,7 @@ func plan(a, b *Sequence, opt Options, kind entryKind) (entry, error) {
 		return entry{}, err
 	}
 	if (kind == kindBanded || kind == kindFixedBand) && (!opt.Gap.IsLinear() || !opt.Mode.IsGlobal()) {
-		return entry{}, badInput("banded and MSA alignment require a linear gap model and global mode")
+		return entry{}, badInput("banded alignment requires a linear gap model and global mode")
 	}
 	e := entry{opt: opt}
 	start := opt.Trace.Begin()
@@ -573,7 +569,7 @@ func pickRoute(a, b *Sequence, opt Options, kind entryKind) (RouteInfo, error) {
 		return RouteInfo{}, badInput("the %v engine does not serve local alignment", opt.Algorithm)
 	}
 	if kind == kindBanded && name != backend.NameFastLSA {
-		return RouteInfo{}, badInput("banded and MSA alignment run on FastLSA (got %v)", opt.Algorithm)
+		return RouteInfo{}, badInput("banded alignment with band <= 0 runs on FastLSA (got %v)", opt.Algorithm)
 	}
 	if !opt.Mode.IsGlobal() && !bk.Caps().EndsFree {
 		return RouteInfo{}, badInput("ends-free modes support the auto, fastlsa and fm engines (got %v)", opt.Algorithm)
@@ -669,26 +665,6 @@ func AlignLocal(a, b *Sequence, opt Options) (*LocalAlignment, error) {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// AlignMSA builds a progressive multiple sequence alignment of the inputs:
-// pairwise FastLSA distances, a UPGMA guide tree, and sum-of-pairs profile
-// merging. Linear gap models only; Options.Workers parallelises the
-// pairwise stage. The pairwise runs are planned once, against the two
-// longest inputs, so under AlgoAuto every pair fits MemoryBudget.
-func AlignMSA(seqs []*Sequence, opt Options) (*MSA, error) {
-	// Empty sequences stand in for missing inputs.
-	long := append(slices.Clone(seqs), &Sequence{}, &Sequence{})
-	slices.SortFunc(long, func(x, y *Sequence) int { return y.Len() - x.Len() })
-	e, err := plan(long[0], long[1], opt, kindBanded)
-	if err != nil {
-		return nil, err
-	}
-	copt, err := backend.CoreOptions(e.req, long[0].Len(), long[1].Len())
-	if err != nil {
-		return nil, err
-	}
-	return msa.Align(seqs, msa.Options{Matrix: e.opt.Matrix, Gap: e.opt.Gap, Pairwise: copt})
 }
 
 // AlignBanded computes a banded global alignment: only cells within the

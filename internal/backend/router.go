@@ -40,8 +40,8 @@ const (
 	// ReasonLocal: an AlgoAuto local alignment, which budget-planned
 	// FastLSA serves.
 	ReasonLocal = "local"
-	// ReasonBanded: an AlgoAuto banded alignment or MSA pairwise stage,
-	// which only FastLSA (band <= 0) or the fixed band (band > 0) serves.
+	// ReasonBanded: an AlgoAuto banded alignment, which only FastLSA
+	// (band <= 0) or the fixed band (band > 0) serves.
 	ReasonBanded = "banded"
 	// ReasonScoreOnly: a score-only call, which runs one kernel sweep and
 	// no backend.

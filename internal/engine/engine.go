@@ -211,7 +211,7 @@ type JobEvent struct {
 
 // Submission describes one job.
 type Submission struct {
-	// Kind is a caller-defined label ("align", "msa", ...), echoed in Info.
+	// Kind is a caller-defined label ("align", "search", ...), echoed in Info.
 	Kind string
 	// ID, when non-empty, is the job's id instead of an engine-generated one.
 	// Journal recovery uses this to resubmit jobs under their pre-crash ids;

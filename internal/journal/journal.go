@@ -61,7 +61,7 @@ type Record struct {
 	Type  string    `json:"type"`
 	JobID string    `json:"jobId"`
 	At    time.Time `json:"at,omitempty"`
-	// Kind is the job kind ("align", "msa", "search"), set on accepted.
+	// Kind is the job kind ("align", "search"), set on accepted.
 	Kind string `json:"kind,omitempty"`
 	// Priority/TimeoutSec mirror the submission knobs, set on accepted.
 	Priority int `json:"priority,omitempty"`
