@@ -250,6 +250,7 @@ func (s *server) resubmit(rec *journal.JobRecord) error {
 		ID:            rec.ID,
 		Recovered:     true,
 		PriorAttempts: rec.Attempts,
+		Accepted:      rec.Accepted,
 		Priority:      rec.Priority,
 		Timeout:       time.Duration(req.TimeoutSec * float64(time.Second)),
 		Retry:         req.Retry.policy(),

@@ -468,6 +468,40 @@ func TestUnrebuildableJobFailsOnRecoveringBoot(t *testing.T) {
 	check(s2, h2.URL, "next")
 }
 
+// TestRecoveredJobKeepsAcceptTime: a pending job recovered from the journal
+// reports the client's accept time as its submitted time, not the
+// recovering boot's resubmit time.
+func TestRecoveredJobKeepsAcceptTime(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := time.Now().Add(-time.Minute).Round(time.Millisecond)
+	const id = "job-pending-1"
+	if err := j.Append(journal.Record{
+		Type: journal.TypeAccepted, JobID: id, At: accepted, Kind: "align",
+		Payload: json.RawMessage(paperJob),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, h := durableServer(t, dir, 1)
+	out := pollJob(t, h.URL+"/v1/jobs/"+id, "succeeded", 10*time.Second)
+	if out["recovered"] != true {
+		t.Fatalf("view %v, want a recovered job", out)
+	}
+	submitted, serr := time.Parse(time.RFC3339Nano, fmt.Sprint(out["submitted"]))
+	started, perr := time.Parse(time.RFC3339Nano, fmt.Sprint(out["started"]))
+	if serr != nil || perr != nil || !submitted.Equal(accepted) || started.Sub(submitted) < time.Minute {
+		t.Fatalf("submitted %v, started %v, want the accept time %v and a start a minute later",
+			out["submitted"], out["started"], accepted.Format(time.RFC3339Nano))
+	}
+}
+
 func doRequest(t *testing.T, req *http.Request) (*http.Response, map[string]any) {
 	t.Helper()
 	resp, err := http.DefaultClient.Do(req)

@@ -104,6 +104,11 @@ type JobOptions struct {
 	// PriorAttempts offsets JobInfo.Attempts by the attempts a journal had
 	// recorded before a crash (recovery only).
 	PriorAttempts int
+	// Accepted is when the client's submission was first accepted, as a
+	// journal recorded it (recovery only): a recovered job reports it as its
+	// JobInfo.Submitted instead of the resubmit time. Ignored unless
+	// Recovered.
+	Accepted time.Time
 	// Priority orders the queue (higher first; FIFO among equals).
 	Priority int
 	// Timeout, when > 0, bounds the job's total lifetime (queue wait plus
@@ -134,6 +139,7 @@ func (jo JobOptions) submission(kind string, task engine.Task) engine.Submission
 		ID:            jo.ID,
 		Recovered:     jo.Recovered,
 		PriorAttempts: jo.PriorAttempts,
+		Accepted:      jo.Accepted,
 		Priority:      jo.Priority,
 		Timeout:       jo.Timeout,
 		Parent:        jo.Context,

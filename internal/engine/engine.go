@@ -228,6 +228,11 @@ type Submission struct {
 	// crash (recovery only); it offsets Info.Attempts so operators see the
 	// job's whole history, not just the current boot's.
 	PriorAttempts int
+	// Accepted is the journalled time the client's submission was accepted
+	// (recovery only): a recovered job reports it as Info.Submitted, so the
+	// job's view keeps the client's accept time across the restart. Ignored
+	// unless Recovered, and when zero.
+	Accepted time.Time
 	// Priority orders the queue: higher runs first; ties run in submission
 	// order.
 	Priority int
@@ -665,6 +670,11 @@ func (e *Engine) enqueueLocked(sub Submission, batch string, register bool) *Job
 		}
 	}
 	e.nextSeq++
+	now := time.Now()
+	submitted := now
+	if sub.Recovered && !sub.Accepted.IsZero() {
+		submitted = sub.Accepted
+	}
 	j := &Job{
 		id:        id,
 		kind:      sub.Kind,
@@ -678,10 +688,10 @@ func (e *Engine) enqueueLocked(sub Submission, batch string, register bool) *Job
 		recovered: sub.Recovered,
 		prior:     sub.PriorAttempts,
 		state:     Queued,
-		submitted: time.Now(),
+		submitted: submitted,
 		done:      make(chan struct{}),
 		index:     -1,
-		queuedAt:  time.Now(),
+		queuedAt:  now,
 	}
 	j.recorder.Add(obs.Event{Kind: obs.EvAdmit, Detail: sub.Kind, Extra: j.id, Value: float64(sub.Priority)})
 	// Tasks read their own job id back via JobIDFromContext — the server's
@@ -873,6 +883,10 @@ func (e *Engine) finishLocked(j *Job, result any, err error) {
 	j.result = result
 	j.err = err
 	j.finished = time.Now()
+	// A terminal job never runs again, and its task closure holds the
+	// request's inputs (sequences, options): drop it so the retained job
+	// pins only its metadata and result.
+	j.task = nil
 	switch {
 	case err == nil:
 		j.state = Succeeded
@@ -913,7 +927,8 @@ func isCancellation(err error) bool {
 // evictLocked records that x, a registered job, has just finished. It drops
 // the oldest finished registered jobs beyond MaxRetained, and drops the
 // result payloads of all but the newest MaxRetainedResults finished jobs: a
-// retained job's metadata is tiny, but its result can be an entire alignment
+// retained job keeps its metadata (finishLocked already dropped its task and
+// with it the request's inputs), but its result can be an entire alignment
 // response, and 256 of those pin real memory on a long-lived server. Both
 // steps stop early, so a finish costs amortised O(1), not a registry walk.
 func (e *Engine) evictLocked(x *Job) {

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // refJob and refEvict are the registry-walking eviction the engine used
@@ -99,6 +102,44 @@ func TestEvictMatchesRegistryWalk(t *testing.T) {
 						trial, step, maxRetained, maxResults, i, got.id, got.result != nil, refOrder[i], want.hasResult)
 				}
 			}
+		}
+	}
+}
+
+// TestFinishedJobReleasesTask pins that a finished job no longer references
+// its task: a value only the task closure captures must become unreachable
+// once the job is terminal, though the job itself stays registered.
+func TestFinishedJobReleasesTask(t *testing.T) {
+	e := New(Config{Workers: 1, QueueDepth: 4})
+	defer shutdownNow(t, e)
+
+	freed := make(chan struct{})
+	j := func() *Job {
+		input := &[1 << 16]byte{1}
+		runtime.SetFinalizer(input, func(*[1 << 16]byte) { close(freed) })
+		j, err := e.Submit(Submission{Kind: "test", Task: func(context.Context) (any, error) {
+			return int(input[0]), nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}()
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Job(j.ID()); err != nil {
+		t.Fatalf("finished job not retained: %v", err)
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-deadline:
+			t.Fatal("the finished job still pins the value its task captured")
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }
