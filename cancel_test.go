@@ -123,7 +123,10 @@ func TestDeadlineExceededPropagates(t *testing.T) {
 // must not be written unsynchronized (run under -race), and it must still
 // accumulate every run's work.
 func TestSharedCountersConcurrentRuns(t *testing.T) {
-	n := 8000
+	// 16000, not 8000: at 8000 an uncancelled run under parallel package
+	// load took only 70-110 ms with the packed linear sweep, and one
+	// cancelled run finished before its cancel landed.
+	n := 16000
 	a := fastlsa.RandomSequence("a", n, fastlsa.DNA, 7)
 	b := fastlsa.RandomSequence("b", n, fastlsa.DNA, 8)
 	var counters fastlsa.Counters

@@ -270,6 +270,48 @@ func TestIdempotencyKeyAcrossCrash(t *testing.T) {
 	}
 }
 
+// TestIdempotencyKeyAcrossRestarts: a finished job stays answerable by id
+// and by its Idempotency-Key across every restart, not the first alone:
+// each boot's compaction keeps the job's tombstone, and no boot runs it
+// again, so the engines' submitted counts over all boots stay 1.
+func TestIdempotencyKeyAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	s, h := durableServer(t, dir, 1)
+	post := func(base string) (int, map[string]any) {
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", strings.NewReader(paperJob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Idempotency-Key", "idem-restarts-1")
+		resp, out := doRequest(t, req)
+		return resp.StatusCode, out
+	}
+	status, first := post(h.URL)
+	if status != http.StatusAccepted {
+		t.Fatalf("first submit: status %d %v", status, first)
+	}
+	id := first["id"].(string)
+	pollJob(t, h.URL+"/v1/jobs/"+id, "succeeded", 10*time.Second)
+	submitted := s.eng.Stats().Submitted
+
+	for boot := 2; boot <= 4; boot++ {
+		crashServer(t, s, h)
+		s, h = durableServer(t, dir, 1)
+		resp, view := doJSON(t, http.MethodGet, h.URL+"/v1/jobs/"+id, "")
+		if resp.StatusCode != http.StatusOK || view["state"] != "succeeded" {
+			t.Fatalf("boot %d: GET %s: status %d %v", boot, id, resp.StatusCode, view)
+		}
+		if status, retry := post(h.URL); status != http.StatusAccepted || retry["id"] != id || retry["state"] != "succeeded" {
+			t.Fatalf("boot %d: retry: status %d %v, want id %s succeeded", boot, status, retry, id)
+		}
+		submitted += s.eng.Stats().Submitted
+		if submitted != 1 {
+			t.Fatalf("boot %d: %d submissions over all boots, want 1", boot, submitted)
+		}
+	}
+}
+
 // TestCancelDuringRecovery: a job that was replayed from the journal but has
 // not started yet can be cancelled like any other; the cancellation is
 // idempotent, reaches the journal as a terminal record, and the job stays

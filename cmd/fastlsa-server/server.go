@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"fastlsa"
+	"fastlsa/internal/engine"
 	"fastlsa/internal/journal"
 	"fastlsa/internal/obs"
 	"fastlsa/internal/stats"
@@ -200,9 +201,16 @@ func newServerDurable(cfg serverConfig) (*server, error) {
 	// recovery, and the engine's event hook must never observe a nil journal.
 	var replay *journal.ReplaySummary
 	if cfg.DataDir != "" {
+		// Finished jobs stay answerable across restarts, by id and by
+		// Idempotency-Key, as many as the engine retains in memory.
+		keep := cfg.MaxRetained
+		if keep <= 0 {
+			keep = engine.DefaultMaxRetained
+		}
 		j, sum, err := journal.Open(cfg.DataDir, journal.Options{
 			Fsync:        cfg.JournalFsync,
 			SegmentBytes: cfg.JournalSegmentBytes,
+			KeepTerminal: keep,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("open journal: %w", err)

@@ -162,7 +162,7 @@ type Config struct {
 	// beyond it fail with ErrQueueFull (<= 0 selects 4*Workers).
 	QueueDepth int
 	// MaxRetained bounds how many finished jobs stay queryable; the oldest
-	// are evicted first (<= 0 selects 256).
+	// are evicted first (<= 0 selects DefaultMaxRetained).
 	MaxRetained int
 	// MaxRetainedResults bounds how many of the retained finished jobs keep
 	// their result payload; older ones stay queryable (state, timestamps,
@@ -512,6 +512,10 @@ type Engine struct {
 	notifyWG   sync.WaitGroup
 }
 
+// DefaultMaxRetained is the finished-job retention of a Config whose
+// MaxRetained is unset.
+const DefaultMaxRetained = 256
+
 // New starts an engine with cfg's worker pool.
 func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
@@ -521,7 +525,7 @@ func New(cfg Config) *Engine {
 		cfg.QueueDepth = 4 * cfg.Workers
 	}
 	if cfg.MaxRetained <= 0 {
-		cfg.MaxRetained = 256
+		cfg.MaxRetained = DefaultMaxRetained
 	}
 	if cfg.MaxRetainedResults <= 0 {
 		cfg.MaxRetainedResults = 64

@@ -12,10 +12,11 @@
 //     short frame, bad CRC, absurd length — ends replay of that segment at
 //     the last valid frame. Replay never panics on hostile bytes
 //     (FuzzJournalReplay pins this).
-//   - Segments rotate at a size threshold, and Open compacts: terminal jobs'
-//     records and checkpoints are dropped, live jobs are rewritten into a
-//     fresh segment, so the journal stays proportional to live work rather
-//     than history.
+//   - Segments rotate at a size threshold, and Open compacts: live jobs are
+//     rewritten into a fresh segment, the most recently finished jobs keep
+//     a payload-free tombstone (Options.KeepTerminal) and every other
+//     terminal record and checkpoint is dropped, so the journal stays
+//     proportional to live work plus a bounded window of history.
 //   - Fsync policy is explicit: "always" (sync every append — strongest,
 //     slowest), "interval" (background sync, bounded loss window), "never"
 //     (rely on the OS; crash-consistent but not power-fail-safe).
@@ -96,6 +97,11 @@ type Options struct {
 	// NoCompact disables the rewrite-on-open compaction (tests only; a
 	// production journal without compaction grows without bound).
 	NoCompact bool
+	// KeepTerminal is how many finished jobs, newest finish first,
+	// compaction keeps as tombstones (id, kind, priority, Idempotency-Key,
+	// state, error, attempts, accept and finish times; no payload), so they
+	// stay answerable across any number of restarts. 0 keeps none.
+	KeepTerminal int
 }
 
 func (o Options) withDefaults() Options {
@@ -298,6 +304,11 @@ func (s *ReplaySummary) apply(r *Record) {
 		job = &JobRecord{ID: r.JobID, seq: s.Records}
 		s.Jobs[r.JobID] = job
 	}
+	// started and retried records carry the attempt count, and so does a
+	// compacted tombstone's terminal record.
+	if r.Attempt > job.Attempts {
+		job.Attempts = r.Attempt
+	}
 	switch r.Type {
 	case TypeAccepted:
 		job.Kind = r.Kind
@@ -305,10 +316,6 @@ func (s *ReplaySummary) apply(r *Record) {
 		job.IdemKey = r.IdemKey
 		job.Payload = r.Payload
 		job.Accepted = r.At
-	case TypeStarted, TypeRetried:
-		if r.Attempt > job.Attempts {
-			job.Attempts = r.Attempt
-		}
 	case TypeCheckpointed:
 		job.HasCheckpoint = true
 	case TypeTerminal:
@@ -585,17 +592,24 @@ func (j *Journal) rotateLocked() error {
 	return j.openSegment()
 }
 
-// compact rewrites the journal to just the live jobs: one accepted record
-// each (plus a checkpointed marker when a checkpoint exists), into a fresh
-// segment; old segments and terminal jobs' checkpoints are deleted. Skipped
-// when there is nothing to reclaim (single segment, no terminal jobs) or
-// when Options.NoCompact is set.
+// compact rewrites the journal into a fresh segment: each live job's
+// accepted record (plus started and checkpointed markers), then a tombstone
+// for each of the Options.KeepTerminal most recently finished jobs: an
+// accepted record without payload and its terminal record. Old segments
+// and terminal jobs' checkpoints are deleted. Skipped when there is nothing
+// to reclaim (single segment, no terminal jobs) or when Options.NoCompact
+// is set.
 func (j *Journal) compact(sum *ReplaySummary) error {
 	if j.opts.NoCompact {
 		return nil
 	}
-	terminal := len(sum.Jobs) - len(sum.Pending)
-	if sum.Segments <= 1 && terminal == 0 {
+	var done []*JobRecord
+	for _, job := range sum.Jobs {
+		if job.Terminal() {
+			done = append(done, job)
+		}
+	}
+	if sum.Segments <= 1 && len(done) == 0 {
 		return nil
 	}
 	segs, err := segments(j.dir)
@@ -610,22 +624,39 @@ func (j *Journal) compact(sum *ReplaySummary) error {
 	if err := j.openSegment(); err != nil {
 		return err
 	}
+	var recs []Record
 	for _, job := range sum.Pending {
-		recs := []Record{{
+		recs = append(recs, Record{
 			Type: TypeAccepted, JobID: job.ID, At: job.Accepted,
 			Kind: job.Kind, Priority: job.Priority,
 			IdemKey: job.IdemKey, Payload: job.Payload,
-		}}
+		})
 		if job.Attempts > 0 {
 			recs = append(recs, Record{Type: TypeStarted, JobID: job.ID, Attempt: job.Attempts})
 		}
 		if job.HasCheckpoint {
 			recs = append(recs, Record{Type: TypeCheckpointed, JobID: job.ID})
 		}
-		for _, rec := range recs {
-			if err := j.Append(rec); err != nil {
-				return err
-			}
+	}
+	// The newest finishes first; ties by accept order, newest first.
+	sort.Slice(done, func(a, b int) bool {
+		if !done[a].Finished.Equal(done[b].Finished) {
+			return done[a].Finished.After(done[b].Finished)
+		}
+		return done[a].seq > done[b].seq
+	})
+	for _, job := range done[:min(len(done), max(j.opts.KeepTerminal, 0))] {
+		recs = append(recs, Record{
+			Type: TypeAccepted, JobID: job.ID, At: job.Accepted,
+			Kind: job.Kind, Priority: job.Priority, IdemKey: job.IdemKey,
+		}, Record{
+			Type: TypeTerminal, JobID: job.ID, At: job.Finished,
+			Attempt: job.Attempts, State: job.State, Error: job.Error,
+		})
+	}
+	for _, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			return err
 		}
 	}
 	if err := j.Sync(); err != nil {
@@ -636,11 +667,9 @@ func (j *Journal) compact(sum *ReplaySummary) error {
 			return fmt.Errorf("journal: compact: %w", err)
 		}
 	}
-	for id, job := range sum.Jobs {
-		if job.Terminal() {
-			j.RemoveCheckpoint(id)
-		}
+	for _, job := range done {
+		j.RemoveCheckpoint(job.ID)
 	}
-	j.compacted.Add(int64(sum.Records - len(sum.Pending)))
+	j.compacted.Add(int64(max(sum.Records-len(recs), 0)))
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -214,6 +215,66 @@ func TestCompaction(t *testing.T) {
 	}
 	if j2.Stats().Compacted == 0 {
 		t.Fatal("Stats.Compacted not counted")
+	}
+}
+
+// TestCompactionKeepsTombstones: compaction keeps a payload-free tombstone
+// for each of the KeepTerminal most recently finished jobs, with every
+// field a query or an Idempotency-Key retry reads, and keeps it across
+// further reopens; older terminal jobs are dropped.
+func TestCompactionKeepsTombstones(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncNever, KeepTerminal: 3}
+	j, _, _ := Open(dir, opts)
+	accept(t, j, "live", "align", `{"a":1}`)
+	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	for i := 0; i < 6; i++ {
+		id := fmt.Sprintf("dead-%d", i)
+		if err := j.Append(Record{
+			Type: TypeAccepted, JobID: id, Kind: "search", Priority: i, IdemKey: "key-" + id,
+			At: base.Add(time.Duration(i) * time.Second), Payload: json.RawMessage(`{"b":2}`),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		j.Append(Record{Type: TypeStarted, JobID: id, Attempt: 2})
+		// Finish times run backwards for the last three, so the newest
+		// finishes are dead-0..dead-2 whatever the accept order.
+		j.Append(Record{Type: TypeTerminal, JobID: id, At: base.Add(time.Duration(10-i) * time.Minute),
+			State: "failed", Error: "boom-" + id})
+	}
+	j.Close()
+	for boot := 1; boot <= 3; boot++ {
+		j2, sum, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j2.Close()
+		if len(sum.Pending) != 1 || sum.Pending[0].ID != "live" || string(sum.Pending[0].Payload) != `{"a":1}` {
+			t.Fatalf("boot %d: pending = %+v", boot, sum.Pending)
+		}
+		want := 1 + 3
+		if boot == 1 {
+			want = 1 + 6 // the first replay still sees every job
+		}
+		if len(sum.Jobs) != want {
+			t.Fatalf("boot %d: %d jobs replayed, want %d", boot, len(sum.Jobs), want)
+		}
+		for i := 0; i < 3; i++ {
+			id := fmt.Sprintf("dead-%d", i)
+			got, ok := sum.Jobs[id]
+			if !ok {
+				t.Fatalf("boot %d: tombstone %s missing", boot, id)
+			}
+			if got.Kind != "search" || got.Priority != i || got.IdemKey != "key-"+id || got.State != "failed" ||
+				got.Error != "boom-"+id || got.Attempts != 2 ||
+				!got.Accepted.Equal(base.Add(time.Duration(i)*time.Second)) ||
+				!got.Finished.Equal(base.Add(time.Duration(10-i)*time.Minute)) {
+				t.Fatalf("boot %d: tombstone %+v", boot, got)
+			}
+			if boot > 1 && got.Payload != nil {
+				t.Fatalf("boot %d: tombstone %s kept its payload %s", boot, id, got.Payload)
+			}
+		}
 	}
 }
 

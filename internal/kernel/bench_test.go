@@ -68,23 +68,47 @@ func BenchmarkForwardAffineHomologous(b *testing.B) {
 	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1), false)
 }
 
-// BenchmarkForwardAffineWidth times the affine sweep over square blocks of
-// the served protein shape at the widths that fix the packed sweep's
-// crossover, scalar rows against packed strips.
-func BenchmarkForwardAffineWidth(b *testing.B) {
-	for _, w := range []int{94, 112, 128, 144, 160, 256, 750, 1000} {
-		x, y, err := seq.HomologousPair(w, seq.Protein, proteinDivergence20, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, path := range []struct {
-			name     string
-			minWidth int
-		}{{"scalar", 1 << 30}, {"packed", 0}} {
-			b.Run(fmt.Sprintf("w=%d/%s", w, path.name), func(b *testing.B) {
-				defer kernel.SetPackedMinWidth(path.minWidth)()
-				benchSweep(b, x.Residues[:min(w, x.Len())], y.Residues[:min(w, y.Len())], scoring.BLOSUM62, kernel.Affine(-11, -1), false)
-			})
+// dnaDivergence30 mutates DNA pairs the way the served jobs-durable
+// traffic's most divergent rung does: 30% substitutions, 3% insertions and
+// 3% deletions in runs of up to 4.
+var dnaDivergence30 = seq.MutationModel{
+	SubstitutionRate: 0.3,
+	InsertionRate:    0.03,
+	DeletionRate:     0.03,
+	MaxIndelRun:      4,
+	IndelExtend:      0.5,
+}
+
+// BenchmarkForwardWidth times Forward over square homologous blocks at the
+// widths that fix the packed sweep's crossovers, scalar rows against
+// packed strips, under each gap model's served shape: linear, the dna
+// matrix with gap −4 over DNA (jobs-durable's FastLSA blocks are 50–200
+// columns wide), and affine, BLOSUM62 −11/−1 over protein.
+func BenchmarkForwardWidth(b *testing.B) {
+	for _, g := range []struct {
+		name   string
+		m      *scoring.Matrix
+		mod    kernel.Model
+		div    seq.MutationModel
+		widths []int
+	}{
+		{"linear", scoring.DNASimple, kernel.Linear(-4), dnaDivergence30, []int{50, 64, 80, 96, 125, 160, 200, 1024}},
+		{"affine", scoring.BLOSUM62, kernel.Affine(-11, -1), proteinDivergence20, []int{94, 112, 128, 144, 160, 256, 750, 1000}},
+	} {
+		for _, w := range g.widths {
+			x, y, err := seq.HomologousPair(w, g.m.Alphabet, g.div, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, path := range []struct {
+				name     string
+				minWidth int
+			}{{"scalar", 1 << 30}, {"packed", 0}} {
+				b.Run(fmt.Sprintf("%s/w=%d/%s", g.name, w, path.name), func(b *testing.B) {
+					defer kernel.SetPackedMinWidth(path.minWidth)()
+					benchSweep(b, x.Residues[:min(w, x.Len())], y.Residues[:min(w, y.Len())], g.m, g.mod, false)
+				})
+			}
 		}
 	}
 }

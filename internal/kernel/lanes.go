@@ -1,7 +1,7 @@
 package kernel
 
 // The word leaves of the packed sweep (packed.go): the per-lane saturating
-// subtract, one step of a strip word, the steady eight-step loop and the
+// subtract and max, one step of a strip word, the eight-step loops and the
 // 8×8 byte transpose. They hold every cell operation of a strip, and the
 // compiler must prove each of their indexes in bounds, as in row.go.
 
@@ -14,6 +14,14 @@ func sat7(a, b uint64) uint64 {
 	d := (a | lanesHi) - b
 	m := d & lanesHi
 	return d & (m - m>>7)
+}
+
+// max7 is max(s, u, vi) in each byte lane of three words of 7-bit lanes,
+// the score first: a linear step's loop-carried u′ then waits on one
+// saturating subtract less than its v′.
+func max7(s, u, vi uint64) uint64 {
+	z := u + sat7(s, u)
+	return z + sat7(vi, z)
 }
 
 // laneWord is one word of a strip: eight lanes' horizontal carries u′, y′
@@ -57,6 +65,47 @@ func packedSteps(st *[2]laneWord, sc *[16]uint64, c *[46]byte, q uint64) uint64 
 	}
 	st[0], st[1] = laneWord{u0, y0, x0, v0}, laneWord{u1, y1, x1, v1}
 	return sent
+}
+
+// packedStepsLinear is packedSteps for linear gaps, over the words' u′ and
+// v′ alone: c holds the v′ carries of columns t−14..t+8, one byte each;
+// lane 15 writes the first eight, lane 0 reads the last eight.
+func packedStepsLinear(st *[2]laneWord, sc *[16]uint64, c *[23]byte) {
+	u0, v0, u1, v1 := st[0].u, st[0].v, st[1].u, st[1].v
+	for s := 0; s < 8; s++ {
+		vi1, vi0 := v1<<8|v0>>56, v0<<8|uint64(c[15+s])
+		z0, z1 := max7(sc[s], u0, vi0), max7(sc[8+s], u1, vi1)
+		u0, v0 = z0-vi0, z0-u0
+		u1, v1 = z1-vi1, z1-u1
+		c[s] = byte(v1 >> 56)
+	}
+	st[0].u, st[0].v, st[1].u, st[1].v = u0, v0, u1, v1
+}
+
+// edgeStepsLinear is packedStepsLinear for a strip's first two and last
+// chunks, where lanes start or finish: lane t+s < 16 takes its left carry
+// from lu (lanes 0–7 in lu[0], 8–15 in lu[1]) at step t+s, and us[s]
+// receives the u′ words after step s, whence the lanes reaching column n.
+// Lanes not yet started or already finished compute filler that stays in
+// [0, 127] and reaches no live lane, so nothing is masked.
+func edgeStepsLinear(st *[2]laneWord, sc *[16]uint64, c *[23]byte, t int, lu *[2]uint64, us *[8][2]uint64) {
+	u0, v0, u1, v1 := st[0].u, st[0].v, st[1].u, st[1].v
+	for s := 0; s < 8; s++ {
+		if k := uint(t + s); k < 8 {
+			m := uint64(0xFF) << (8 * k)
+			u0 = u0&^m | lu[0]&m
+		} else if k < 16 {
+			m := uint64(0xFF) << (8 * (k - 8))
+			u1 = u1&^m | lu[1]&m
+		}
+		vi1, vi0 := v1<<8|v0>>56, v0<<8|uint64(c[15+s])
+		z0, z1 := max7(sc[s], u0, vi0), max7(sc[8+s], u1, vi1)
+		u0, v0 = z0-vi0, z0-u0
+		u1, v1 = z1-vi1, z1-u1
+		c[s] = byte(v1 >> 56)
+		us[s] = [2]uint64{u0, u1}
+	}
+	st[0].u, st[0].v, st[1].u, st[1].v = u0, v0, u1, v1
 }
 
 // transpose8 transposes the 8×8 byte matrix m (row r in m[r], column c in

@@ -1,7 +1,7 @@
 package kernel
 
-// The packed sweep: affine Forward rows advanced sixteen at a time in byte
-// lanes, after the difference recurrence of Suzuki and Kasahara (BMC
+// The packed sweep: Forward rows advanced sixteen at a time in byte lanes,
+// after the difference recurrence of Suzuki and Kasahara (BMC
 // Bioinformatics 19(Suppl 1):45, 2018). With Q = −(open+ext) and qo = −open
 // it carries the shifted differences
 //
@@ -19,8 +19,12 @@ package kernel
 //
 // Every lane value stays below 128 while no live lane's A+qo or B+qo sets
 // bit 7, which the sentinel checks; the strip's words then compute exactly
-// what affineRow would. docs/ALGORITHMS.md §1 "Packed sweep" has the ranges,
-// the fallback conditions and the crossover.
+// what affineRow would. Linear gaps are the case x′ = y′ ≡ 0 (Q = −ext):
+// z′ = max(s+2Q, v′, u′) and the two differences, with the carry row
+// holding v′ alone. There z′ is a max of its arguments and u′, v′ are z′
+// less one of them, so any lane in [0, 127] stays there: no sentinel and
+// no lane masking. docs/ALGORITHMS.md §1 "Packed sweep" has the ranges,
+// the fallback conditions and the crossovers.
 
 import (
 	"encoding/binary"
@@ -29,10 +33,11 @@ import (
 	"fastlsa/internal/stats"
 )
 
-// packedMinWidth is the narrowest block, in columns, the packed sweep takes:
-// below it the strip ramps and the score profiles cost more than the lanes
-// save (the crossover measured in BENCH_SWEEP.json).
-var packedMinWidth = 160
+// packedMinWidth is the narrowest block, in columns, the packed sweep takes
+// under each gap model: below it the strip ramps and the score profiles
+// cost more than the lanes save (the crossovers measured in
+// BENCH_SWEEP.json).
+var packedMinWidth = struct{ linear, affine int }{linear: 64, affine: 160}
 
 const (
 	stripRows = 16 // rows per strip: two words of eight byte lanes
@@ -57,19 +62,25 @@ func lanesBelow(l int) [2]uint64 {
 	return [2]uint64{1<<(8*min(l, 8)) - 1, 1<<(8*max(l-8, 0)) - 1}
 }
 
-// forwardPacked runs rows 1..R of an affine Forward as packed strips, R the
-// largest multiple of 16 below len(a), when the block and the scores allow.
-// rowH and rowE hold the top boundary on entry; on success outCol holds
-// rows 1..R, and rowH/rowE hold row R rebuilt for affineRow: H(R,·) and
+// forwardPacked runs rows 1..R of a Forward as packed strips, when the
+// block and the scores allow: R is the largest multiple of 16 below len(a)
+// for affine gaps and up to len(a) for linear ones. rowH (and, affine,
+// rowE) hold the top boundary on entry; on success outCol holds rows 1..R,
+// rowH holds H(R,·) rebuilt from the carries and, affine, rowE holds
 // E(R+1,·)−ext, from which affineRow's E step yields E(R+1,·) exactly. It
-// returns R, or 0 with rowH/rowE untouched when the scalar rows must run
+// returns R, or 0 with the rows untouched when the scalar rows must run
 // from the top: block narrower than the crossover, scores or penalties too
 // wide for seven bits, an edge difference out of range, or a tripped
 // sentinel.
 func (k *Kernel) forwardPacked(a, b []byte, left Edge, rowH, rowE []int64, outCol Edge, poll *stats.Poll) (int, error) {
-	n, rows := len(b), (len(a)-1)/stripRows*stripRows
+	affine := k.Mod.IsAffine()
+	n, rows, minWidth, cw := len(b), len(a)/stripRows*stripRows, packedMinWidth.linear, 1
+	if affine {
+		// The last row runs scalar, so outRow's E comes from affineRow.
+		rows, minWidth, cw = (len(a)-1)/stripRows*stripRows, packedMinWidth.affine, 2
+	}
 	open, ext := k.Mod.Open, k.Mod.Ext
-	if n < packedMinWidth || rows == 0 || open > 0 || ext > 0 {
+	if n < max(minWidth, 1) || rows == 0 || open > 0 || ext > 0 {
 		return 0, nil
 	}
 	q, qo := -(open + ext), -open
@@ -78,14 +89,14 @@ func (k *Kernel) forwardPacked(a, b []byte, left Edge, rowH, rowE []int64, outCo
 	}
 	for i := 1; i <= rows; i++ {
 		du := left.H[i] - left.H[i-1] + q
-		if du < 0 || du > 127 || left.G[i]-left.H[i] > 0 {
+		if du < 0 || du > 127 || affine && left.G[i]-left.H[i] > 0 {
 			return 0, nil
 		}
 	}
 
-	// Scratch: the carry row of (v′, x′) pairs, column j at bytes 2(j+padCols−1)
-	// and the next, then one score profile per distinct residue of a[:rows],
-	// column j at byte j+padCols−1.
+	// Scratch: the carry row of v′ (affine, (v′, x′) pairs), column j at
+	// byte cw(j+padCols−1), then one score profile per distinct residue of
+	// a[:rows], column j at byte j+padCols−1.
 	width := n + 2*padCols
 	var slot [256]int // 1 + the profile index of a residue, 0 when unseen
 	var residues [256]byte
@@ -102,7 +113,7 @@ func (k *Kernel) forwardPacked(a, b []byte, left Edge, rowH, rowE []int64, outCo
 		pb = new(packedBuf)
 	}
 	defer packedScratch.Put(pb)
-	size, chunks := (2+nres)*width, (n+stripRows+6)/8
+	size, chunks := (cw+nres)*width, (n+stripRows+6)/8
 	if cap(pb.bytes) < size {
 		pb.bytes = make([]byte, size)
 	}
@@ -111,14 +122,20 @@ func (k *Kernel) forwardPacked(a, b []byte, left Edge, rowH, rowE []int64, outCo
 	}
 	buf, words := pb.bytes[:size], pb.words[:chunks]
 	clear(buf)
-	carry, prof := buf[:2*width], buf[2*width:]
+	carry, prof := buf[:cw*width], buf[cw*width:]
 	for j := 1; j <= n; j++ {
 		dv := rowH[j] - rowH[j-1] + q
-		dx := max(rowE[j]-rowH[j]+qo, 0)
-		if dv < 0 || dv > 127 || dx > qo {
+		if dv < 0 || dv > 127 {
 			return 0, nil
 		}
-		carry[2*(j+padCols-1)], carry[2*(j+padCols-1)+1] = byte(dv), byte(dx)
+		carry[cw*(j+padCols-1)] = byte(dv)
+		if affine {
+			dx := max(rowE[j]-rowH[j]+qo, 0)
+			if dx > qo {
+				return 0, nil
+			}
+			carry[2*(j+padCols-1)+1] = byte(dx)
+		}
 	}
 	for p, c := range residues[:nres] {
 		srow, dst := k.M.Row(c), prof[p*width+padCols:(p+1)*width-padCols]
@@ -141,14 +158,17 @@ func (k *Kernel) forwardPacked(a, b []byte, left Edge, rowH, rowE []int64, outCo
 			i := i0 + l + 1
 			off[l] = (slot[a[i-1]]-1)*width + padCols - l
 			lu[l] = byte(left.H[i] - left.H[i-1] + q)
-			ly[l] = byte(max(left.G[i]-left.H[i]+qo, 0))
+			if affine {
+				ly[l] = byte(max(left.G[i]-left.H[i]+qo, 0))
+			}
 		}
 		for l := range off {
 			gatherLane(words, l, prof[off[l]:])
 		}
 		var cu, cvn, cy [stripRows]byte // lane k's u′, v′ and incoming y′ at column n
-		sent := runStrip(words, carry, n, qs, &lu, &ly, &cu, &cvn, &cy)
-		if sent&lanesHi != 0 {
+		if !affine {
+			runStripLinear(words, carry, n, &lu, &cu)
+		} else if runStrip(words, carry, n, qs, &lu, &ly, &cu, &cvn, &cy)&lanesHi != 0 {
 			return 0, nil
 		}
 		for l := 0; l < stripRows; l++ {
@@ -157,7 +177,7 @@ func (k *Kernel) forwardPacked(a, b []byte, left Edge, rowH, rowE []int64, outCo
 			if outCol.H != nil {
 				outCol.H[i] = hn
 			}
-			if outCol.G != nil {
+			if affine && outCol.G != nil {
 				outCol.G[i] = hn + int64(cy[l]) - int64(cvn[l])
 			}
 		}
@@ -166,9 +186,11 @@ func (k *Kernel) forwardPacked(a, b []byte, left Edge, rowH, rowE []int64, outCo
 	h := left.H[rows]
 	rowH[0] = h
 	for j := 1; j <= n; j++ {
-		h += int64(carry[2*(j+padCols-1)]) - q
+		h += int64(carry[cw*(j+padCols-1)]) - q
 		rowH[j] = h
-		rowE[j] = h + int64(carry[2*(j+padCols-1)+1]) - q - ext
+		if affine {
+			rowE[j] = h + int64(carry[2*(j+padCols-1)+1]) - q - ext
+		}
 	}
 	return rows, nil
 }
@@ -217,6 +239,34 @@ func runStrip(words [][16]uint64, carry []byte, n int, q uint64, lu, ly, cu, cvn
 		}
 	}
 	return sent
+}
+
+// runStripLinear is runStrip under linear gaps: carry holds one v′ byte
+// per column, lu the lanes' left carries u′ and cu receives their u′ at
+// column n. Every chunk runs eight word steps; lane 15's writes before
+// column 1 and past column n land in the carry row's padding, where only
+// finished lanes read them.
+func runStripLinear(words [][16]uint64, carry []byte, n int, lu, cu *[stripRows]byte) {
+	var st [2]laneWord
+	lw := [2]uint64{binary.LittleEndian.Uint64(lu[:8]), binary.LittleEndian.Uint64(lu[8:])}
+	var us [8][2]uint64
+	for c := range words {
+		t := 8 * c
+		sc := &words[c]
+		transpose8((*[8]uint64)(sc[:8]))
+		transpose8((*[8]uint64)(sc[8:]))
+		cw := (*[23]byte)(carry[t+padCols-15:])
+		if t >= stripRows && t+8 <= n-1 {
+			packedStepsLinear(&st, sc, cw)
+			continue
+		}
+		edgeStepsLinear(&st, sc, cw, t, &lw, &us)
+		for s := range us {
+			if end := t + s - n + 1; end >= 0 && end < stripRows {
+				cu[end] = byte(us[s][end/8] >> (8 * (end % 8)))
+			}
+		}
+	}
 }
 
 // rampStep advances the strip st one step t outside its steady state, where

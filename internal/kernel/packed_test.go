@@ -37,10 +37,7 @@ func FuzzPackedForward(f *testing.F) {
 	f.Add(int64(6), uint8(47), uint8(120), uint8(4), uint8(9), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, height, width, kind, open, ext uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		h, w := 17+int(height%96), kernel.PackedMinWidth()-40+int(width)
-		if width < 32 {
-			w = 1 + int(width) // the forced strips on blocks narrower than a chunk
-		}
+		h := 17 + int(height%96)
 		o, e := -int64(open%12), -int64(ext%4)-1
 		m, eligible := testutil.RandomMatrix(seq.Protein, seed), true
 		switch kind % 5 {
@@ -56,6 +53,7 @@ func FuzzPackedForward(f *testing.F) {
 			o = min(o, -1) // the sentinel edges need qo > 0
 		}
 		k := kernel.New(m, kernel.Affine(o, e), nil, nil)
+		w := blockWidth(k, width)
 		if kind%5 == 4 {
 			a, b, top, left := sentinelBlock(rng, k, h, w)
 			if rows := packedRows(t, k, a, b, top, left); rows != 0 {
@@ -75,6 +73,98 @@ func FuzzPackedForward(f *testing.F) {
 		}
 		checkPacked(t, k, a, b, top, left, want[:])
 	})
+}
+
+// FuzzPackedForwardLinear is FuzzPackedForward under linear gaps, where
+// the strips need no sentinel and every full strip of an eligible block
+// packs. The inputs are:
+//
+//   - boundaries cut from a stored FillRect matrix of a homologous DNA or
+//     protein pair at a random (r0, c0);
+//   - heights 16..112, most of them not multiples of 16, and widths from 40
+//     columns below the crossover to 215 above it, and 1..32;
+//   - the served DNA matrix, BLOSUM62 and random matrices, gaps −1..−15;
+//   - ends-free zero edges;
+//   - matrices at the seven-bit limit Smax+2Q = 127, which must pack, and
+//     one past it, which must not;
+//   - an edge difference just outside [0, 127], which must fall back.
+func FuzzPackedForwardLinear(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(120), uint8(0), uint8(3))
+	f.Add(int64(2), uint8(15), uint8(40), uint8(1), uint8(7))
+	f.Add(int64(3), uint8(64), uint8(90), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(33), uint8(255), uint8(3), uint8(5))
+	f.Add(int64(5), uint8(80), uint8(200), uint8(4), uint8(14))
+	f.Add(int64(6), uint8(47), uint8(10), uint8(5), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, height, width, kind, gap uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		h, g := 16+int(height%97), -int64(gap%15)-1
+		m, eligible := scoring.DNASimple, true
+		switch kind % 6 {
+		case 1:
+			m = scoring.BLOSUM62
+		case 2:
+			m = testutil.RandomMatrix(seq.Protein, seed)
+		case 3:
+			m = limitMatrix(rng, -2*g, seed&1 == 1)
+			eligible = seed&1 == 0
+		}
+		k := kernel.New(m, kernel.Linear(g), nil, nil)
+		w := blockWidth(k, width)
+		strips := h / 16 * 16
+		switch kind % 6 {
+		case 4, 5:
+			// Ends-free zero edges; kind 5 then puts one top or left
+			// edge difference just outside [0, 127].
+			a, b := randomBlock(rng, m, h), randomBlock(rng, m, w)
+			top, left := k.ModeEdge(w, true), k.ModeEdge(h, true)
+			if kind%6 == 5 {
+				e, span, d := top.H, w, int64(128)
+				if seed&1 == 1 {
+					d = -1
+				}
+				if seed&2 == 2 {
+					e, span = left.H, strips // the rows the strips would take
+				}
+				for i := 1 + rng.Intn(span); i < len(e); i++ {
+					e[i] += d + g
+				}
+				strips = 0
+			}
+			if rows := packedRows(t, k, a, b, top, left); rows != strips {
+				t.Fatalf("%dx%d block with ends-free edges took %d packed rows, want %d", h, w, rows, strips)
+			}
+			checkPacked(t, k, a, b, top, left, nil)
+			return
+		}
+		a, b, top, left, want := cutBlock(t, rng, k, h, w)
+		rows := packedRows(t, k, a, b, top, left)
+		if !eligible {
+			strips = 0
+		}
+		if rows != strips {
+			t.Fatalf("%dx%d block (eligible %v) took %d packed rows, want %d", h, w, eligible, rows, strips)
+		}
+		checkPacked(t, k, a, b, top, left, want[:])
+	})
+}
+
+// blockWidth maps a fuzzed byte to a block width: 1..32 below 32 (the
+// forced strips on blocks narrower than a chunk), otherwise from 40
+// columns below k's crossover up.
+func blockWidth(k *kernel.Kernel, width uint8) int {
+	if width < 32 {
+		return 1 + int(width)
+	}
+	return k.PackedMinWidth() - 40 + int(width)
+}
+
+// randomBlock draws n residues of m's alphabet.
+func randomBlock(rng *rand.Rand, m *scoring.Matrix, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = m.Alphabet.Letters[rng.Intn(m.Alphabet.Size())]
+	}
+	return out
 }
 
 // packedRows reports the rows the packed strips take on the block with the
@@ -111,15 +201,15 @@ func limitMatrix(rng *rand.Rand, twoQ int64, over bool) *scoring.Matrix {
 	return m
 }
 
-// cutBlock fills the stored planes of a homologous pair from leading-gap
-// boundaries and cuts an h x w block out of them at a random (r0, c0): its
-// residues, its top and left edges, and the bottom row and right column
-// the planes hold for it.
+// cutBlock fills the stored planes of a homologous pair over the matrix's
+// alphabet from leading-gap boundaries and cuts an h x w block out of them
+// at a random (r0, c0): its residues, its top and left edges, and the
+// bottom row and right column the planes hold for it.
 func cutBlock(t *testing.T, rng *rand.Rand, k *kernel.Kernel, h, w int) (a, b []byte, top, left kernel.Edge, want [2]kernel.Edge) {
 	t.Helper()
 	r0, c0 := rng.Intn(33), rng.Intn(65)
 	n := max(r0+h, c0+w) + 40
-	x, y, err := seq.HomologousPair(n, seq.Protein, proteinDivergence20, rng.Int63())
+	x, y, err := seq.HomologousPair(n, k.M.Alphabet, proteinDivergence20, rng.Int63())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,21 +222,34 @@ func cutBlock(t *testing.T, rng *rand.Rand, k *kernel.Kernel, h, w int) (a, b []
 		t.Fatal(err)
 	}
 	cols := len(rb) + 1
+	affine := k.Mod.IsAffine()
 	row := func(r int) kernel.Edge {
-		return kernel.Edge{H: slices.Clone(rt.H[r*cols+c0 : r*cols+c0+w+1]), G: slices.Clone(rt.E[r*cols+c0 : r*cols+c0+w+1])}
-	}
-	col := func(c int) kernel.Edge {
-		e := kernel.Edge{H: make([]int64, h+1), G: make([]int64, h+1)}
-		for i := range e.H {
-			e.H[i], e.G[i] = rt.H[(r0+i)*cols+c], rt.F[(r0+i)*cols+c]
+		e := kernel.Edge{H: slices.Clone(rt.H[r*cols+c0 : r*cols+c0+w+1])}
+		if affine {
+			e.G = slices.Clone(rt.E[r*cols+c0 : r*cols+c0+w+1])
 		}
 		return e
 	}
-	// The sweep's output lanes are dead where they sit on the input
-	// boundary: the bottom row's E at column 0 and the right column's F
-	// at row 0.
+	col := func(c int) kernel.Edge {
+		e := kernel.Edge{H: make([]int64, h+1)}
+		for i := range e.H {
+			e.H[i] = rt.H[(r0+i)*cols+c]
+		}
+		if affine {
+			e.G = make([]int64, h+1)
+			for i := range e.G {
+				e.G[i] = rt.F[(r0+i)*cols+c]
+			}
+		}
+		return e
+	}
 	top, left, want = row(r0), col(c0), [2]kernel.Edge{row(r0 + h), col(c0 + w)}
-	want[0].G[0], want[1].G[0] = kernel.NegInf, kernel.NegInf
+	if affine {
+		// The sweep's output lanes are dead where they sit on the input
+		// boundary: the bottom row's E at column 0 and the right column's
+		// F at row 0.
+		want[0].G[0], want[1].G[0] = kernel.NegInf, kernel.NegInf
+	}
 	return ra[r0:], rb[c0:], top, left, want
 }
 
@@ -189,7 +292,7 @@ func checkPacked(t *testing.T, k *kernel.Kernel, a, b []byte, top, left kernel.E
 	for _, c := range []struct {
 		minWidth int
 		aliased  bool
-	}{{kernel.PackedMinWidth(), false}, {0, false}, {0, true}} {
+	}{{k.PackedMinWidth(), false}, {0, false}, {0, true}} {
 		gotRow, gotCol := run(c.minWidth, c.aliased)
 		what := fmt.Sprintf("crossover %d aliased %v", c.minWidth, c.aliased)
 		equalEdge(t, what+" outRow", gotRow, scalarRow)

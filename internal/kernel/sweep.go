@@ -38,10 +38,10 @@ func checkOut(kind, name string, s []int64, want int) error {
 //     which case top is consumed as scratch.
 //
 // The kernel draws at most one scratch row per live plane from the pool and
-// counts m*n cells on C. An affine sweep that takes the packed strips also
-// holds a pooled packedBuf: (2+r)·(n+48) bytes of carry row and score
-// profiles, r the distinct residues of its rows, and 128·⌈(n+15)/8⌉ bytes of
-// score words.
+// counts m*n cells on C. A sweep that takes the packed strips also holds a
+// pooled packedBuf: (c+r)·(n+48) bytes of carry row and score profiles, c
+// the carry bytes per column (1 linear: v′; 2 affine: v′ and x′) and r the
+// distinct residues of its rows, and 128·⌈(n+15)/8⌉ bytes of score words.
 func (k *Kernel) Forward(a, b []byte, top, left, outRow, outCol Edge) error {
 	if err := k.checkEdge("Forward", "top", top, len(b)); err != nil {
 		return err
@@ -95,7 +95,13 @@ func (k *Kernel) forwardLinear(a, b []byte, top, left, outRow, outCol Edge) erro
 	}
 
 	poll := k.C.StartPoll()
-	for r := 0; r < rows; r++ {
+	// The packed strips take every full strip when they can; the scalar
+	// rows finish the rest.
+	packed, err := k.forwardPacked(a, b, left, row, nil, outCol, &poll)
+	if err != nil {
+		return err
+	}
+	for r := packed; r < rows; r++ {
 		if err := poll.Tick(n); err != nil {
 			return err
 		}
