@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fastlsa"
+	"fastlsa/internal/index"
 )
 
 // testCorpus builds a small deterministic DNA corpus: background sequences
@@ -28,7 +29,7 @@ func testCorpus(t *testing.T, n int) (*fastlsa.Corpus, *fastlsa.Sequence, int) {
 		t.Fatal(err)
 	}
 	seqs[planted] = dup
-	corpus, err := fastlsa.NewCorpus(seqs, 0)
+	corpus, err := index.New(seqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,13 +217,11 @@ func countsEveryCell(served string, c confCase) bool {
 // FastLSA run of c: the most cells the run may count, at the (k, BM) it
 // resolves to. The block-based parallel fill computes the cells a
 // sequential run at the same k does, so the bound holds on any worker
-// count. ok is false for ends-free runs, which add a locating sweep the
-// recurrence does not model.
-func sequentialBound(t *testing.T, s confSubject, c confCase) (bound int64, ok bool) {
+// count. An ends-free run first sweeps all m·n cells to locate its end node
+// (core.AlignMode), then recurses over a rectangle no larger than m × n, so
+// its bound is m·n plus the recurrence.
+func sequentialBound(t *testing.T, s confSubject, c confCase) int64 {
 	t.Helper()
-	if !c.mode.IsGlobal() {
-		return 0, false
-	}
 	workers := c.workers
 	if s.parallel {
 		workers = parallelWorkers
@@ -249,7 +247,10 @@ func sequentialBound(t *testing.T, s confSubject, c confCase) (bound int64, ok b
 	if err != nil {
 		t.Fatalf("%s: %v: %v", s.name, c, err)
 	}
-	return bound, true
+	if !c.mode.IsGlobal() {
+		bound += int64(c.a.Len()) * int64(c.b.Len())
+	}
+	return bound
 }
 
 // checkCase runs every subject that serves c against the full-matrix
@@ -279,7 +280,7 @@ func checkCase(t *testing.T, subjects []confSubject, c confCase) {
 			t.Errorf("%s (served by %s): %v: %d cells counted, below m·n = %d", s.name, served, c, counters.Cells.Load(), mn)
 		}
 		if served == backend.NameFastLSA {
-			if bound, ok := sequentialBound(t, s, c); ok && counters.Cells.Load() > bound {
+			if bound := sequentialBound(t, s, c); counters.Cells.Load() > bound {
 				t.Errorf("%s: %v: %d cells counted, above Theorem 2's recurrence %d", s.name, c, counters.Cells.Load(), bound)
 			}
 		}

@@ -188,25 +188,6 @@ func (en *Engine) SubmitAlign(a, b *Sequence, opt Options, jo JobOptions) (*Job,
 	}))
 }
 
-// SubmitAlignLocal queues a local alignment; the result is *LocalAlignment.
-func (en *Engine) SubmitAlignLocal(a, b *Sequence, opt Options, jo JobOptions) (*Job, error) {
-	return en.e.Submit(jo.submission("align-local", func(ctx context.Context) (any, error) {
-		return AlignLocal(a, b, jo.bind(opt, ctx))
-	}))
-}
-
-// SubmitSearch queues a homology search; the result is []SearchHit.
-func (en *Engine) SubmitSearch(query *Sequence, db []*Sequence, opt SearchOptions, jo JobOptions) (*Job, error) {
-	return en.e.Submit(jo.submission("search", func(ctx context.Context) (any, error) {
-		o := opt
-		o.Context = ctx
-		if o.Recorder == nil {
-			o.Recorder = jo.Recorder
-		}
-		return Search(query, db, o)
-	}))
-}
-
 // SequencePair is one unit of an alignment batch.
 type SequencePair struct {
 	A, B *Sequence

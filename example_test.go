@@ -68,30 +68,3 @@ func ExampleAlign_overlap() {
 	fmt.Println(al.Score) // 8 overlapping matches * 5
 	// Output: 40
 }
-
-func ExampleAlignment_EditScript() {
-	a, _ := fastlsa.NewSequence("a", "ACGTACGT", fastlsa.DNA)
-	b, _ := fastlsa.NewSequence("b", "ACGACGTT", fastlsa.DNA)
-	al, err := fastlsa.Align(a, b, fastlsa.Options{
-		Matrix: fastlsa.DNASimple, Gap: fastlsa.Linear(-4), Workers: 1,
-	})
-	if err != nil {
-		panic(err)
-	}
-	rebuilt, err := fastlsa.ApplyEditScript(a, al.EditScript(), fastlsa.DNA)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(rebuilt.String() == b.String())
-	// Output: true
-}
-
-func ExampleTranslate() {
-	gene, _ := fastlsa.NewSequence("gene", "ATGGATAAATTAGTTTAA", fastlsa.DNA)
-	prot, err := fastlsa.Translate(gene, 0)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(prot.String())
-	// Output: MDKLV
-}

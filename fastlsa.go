@@ -75,16 +75,14 @@ type (
 	// Index is a q-gram inverted index over a sequence database — the
 	// lossless seed filter behind corpus-scale Search (BuildIndex).
 	Index = index.Index
-	// Corpus is a sequence database paired with its Index (LoadCorpus /
-	// NewCorpus), the cached substrate of a search server.
+	// Corpus is a sequence database paired with its Index (LoadCorpus), the
+	// cached substrate of a search server.
 	Corpus = index.Corpus
 	// SearchProbe is the filter-phase accounting of an indexed search
 	// (entries scanned, candidates kept, prune reasons, selectivity).
 	SearchProbe = index.Probe
 	// GumbelParams are fitted extreme-value statistics for local scores.
 	GumbelParams = significance.Params
-	// EditOp is one operation of an edit script (Alignment.EditScript).
-	EditOp = align.EditOp
 	// RouteInfo reports which backend served a call and why (the
 	// backend.Reason* constants; docs/BACKENDS.md lists the rule table).
 	RouteInfo = backend.Route
@@ -197,20 +195,12 @@ func NewSequence(id, letters string, a *Alphabet) (*Sequence, error) {
 	return seq.New(id, letters, a)
 }
 
-// NewAlphabet builds a custom residue alphabet.
-func NewAlphabet(name, letters string) (*Alphabet, error) { return seq.NewAlphabet(name, letters) }
-
 // ParseAlphabet resolves "dna" or "protein".
 func ParseAlphabet(name string) (*Alphabet, error) { return seq.ParseAlphabet(name) }
 
 // MatrixByName resolves a built-in scoring matrix: "table1", "mdm78"
 // ("dayhoff"), "blosum62", "dna", "dna-strict".
 func MatrixByName(name string) (*Matrix, error) { return scoring.ByName(name) }
-
-// NewMatrix builds a custom symmetric matrix from pair scores.
-func NewMatrix(name string, a *Alphabet, defaultScore int, pairs map[string]int) (*Matrix, error) {
-	return scoring.NewMatrix(name, a, defaultScore, pairs)
-}
 
 // ReadFASTA parses FASTA records (nil alphabet selects DNA).
 func ReadFASTA(r io.Reader, a *Alphabet) ([]*Sequence, error) { return seq.ReadFASTA(r, a) }
@@ -233,28 +223,6 @@ func HomologousPair(n int, a *Alphabet, model MutationModel, seed int64) (*Seque
 
 // DefaultHomology is a mutation model producing ~75%-identity pairs.
 var DefaultHomology = seq.DefaultHomology
-
-// Translate converts DNA to protein in the given reading frame (0..2) under
-// the standard genetic code, stopping at the first stop codon. The paper's
-// Table 1 lists exactly these codon assignments for its example residues.
-func Translate(s *Sequence, frame int) (*Sequence, error) { return seq.Translate(s, frame) }
-
-// ReverseComplement reverse-complements a DNA or IUPAC sequence.
-func ReverseComplement(s *Sequence) (*Sequence, error) { return seq.ReverseComplement(s) }
-
-// SixFrames translates all six reading frames (DNA-vs-protein search prep).
-func SixFrames(s *Sequence) ([]*Sequence, error) { return seq.SixFrames(s) }
-
-// ApplyEditScript transforms a by an edit script from Alignment.EditScript,
-// reconstructing the aligned partner.
-func ApplyEditScript(a *Sequence, ops []EditOp, alphabet *Alphabet) (*Sequence, error) {
-	return align.ApplyEditScript(a, ops, alphabet)
-}
-
-// InvertEditScript returns the script transforming B back into A.
-func InvertEditScript(a *Sequence, ops []EditOp) ([]EditOp, error) {
-	return align.InvertEditScript(a, ops)
-}
 
 // Algorithm selects the alignment engine. Every non-auto value names one
 // registered backend (internal/backend); AlgoAuto is the router.
@@ -802,15 +770,6 @@ func BuildIndex(db []*Sequence, q int) (*Index, error) {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
 	return ix, nil
-}
-
-// NewCorpus indexes an in-memory sequence set (q <= 0 selects the default).
-func NewCorpus(seqs []*Sequence, q int) (*Corpus, error) {
-	c, err := index.New(seqs, q)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
-	}
-	return c, nil
 }
 
 // LoadCorpus reads a FASTA file and indexes it — the server's -corpus

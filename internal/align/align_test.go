@@ -38,16 +38,8 @@ func TestPathBasics(t *testing.T) {
 	if m != 4 || n != 4 {
 		t.Fatalf("dims = %d,%d", m, n)
 	}
-	d, u, l := p.Counts()
-	if d != 3 || u != 1 || l != 1 {
-		t.Fatalf("counts = %d,%d,%d", d, u, l)
-	}
 	if p.String() != "DULDD" {
 		t.Fatalf("string = %q", p.String())
-	}
-	nodes := p.Nodes()
-	if len(nodes) != 6 || nodes[0] != [2]int{0, 0} || nodes[5] != [2]int{4, 4} {
-		t.Fatalf("nodes = %v", nodes)
 	}
 	if err := p.Validate(4, 4); err != nil {
 		t.Fatal(err)

@@ -74,21 +74,6 @@ func (p Path) Dims() (m, n int) {
 	return m, n
 }
 
-// Counts tallies the moves by kind.
-func (p Path) Counts() (diag, up, left int) {
-	for _, mv := range p.moves {
-		switch mv {
-		case Diag:
-			diag++
-		case Up:
-			up++
-		case Left:
-			left++
-		}
-	}
-	return
-}
-
 // Equal reports whether two paths are identical move-for-move.
 func (p Path) Equal(q Path) bool {
 	if len(p.moves) != len(q.moves) {
@@ -110,27 +95,6 @@ func (p Path) String() string {
 		b.WriteString(m.String())
 	}
 	return b.String()
-}
-
-// Nodes expands the path into the full node list (m+n+1 entries at most),
-// starting at (0,0). Primarily for tests and small examples.
-func (p Path) Nodes() [][2]int {
-	nodes := make([][2]int, 0, len(p.moves)+1)
-	r, c := 0, 0
-	nodes = append(nodes, [2]int{0, 0})
-	for _, m := range p.moves {
-		switch m {
-		case Diag:
-			r++
-			c++
-		case Up:
-			r++
-		case Left:
-			c++
-		}
-		nodes = append(nodes, [2]int{r, c})
-	}
-	return nodes
 }
 
 // Builder accumulates a path *backwards*, the way every traceback in this

@@ -1,11 +1,11 @@
 // Package hirschberg implements Hirschberg's divide-and-conquer linear-space
 // global alignment algorithm as applied to sequence alignment by Myers and
 // Miller (paper §2.2): split the row sequence in half, run the score-only
-// kernel sweep forwards over the top half and backwards over the bottom
-// half, pick the column where the two meet with maximal total score, and
-// recurse on the two subproblems. Space is O(min(m,n)); roughly m*n extra
-// cell computations are performed compared to the full-matrix algorithm
-// (recomputation factor ~2).
+// kernel sweep over the top half and over the reversed bottom half (its
+// suffix scores), pick the column where the two meet with maximal total
+// score, and recurse on the two subproblems. Space is O(min(m,n)); roughly
+// m*n extra cell computations are performed compared to the full-matrix
+// algorithm (recomputation factor ~2).
 //
 // One solver serves both gap models. Linear gaps run the plain Hirschberg
 // split (the boundary discounts are inert: a linear model has no open
@@ -20,6 +20,7 @@ package hirschberg
 
 import (
 	"fmt"
+	"slices"
 
 	"fastlsa/internal/align"
 	"fastlsa/internal/fm"
@@ -95,6 +96,8 @@ type solver struct {
 	// baseRect is the reusable base-case plane set (lazily grown to h.base
 	// entries per live plane, recycled through the pool on putBase).
 	baseRect kernel.Rect
+	// revA and revB hold the reversed residues of the split being run.
+	revA, revB []byte
 }
 
 func (h *solver) emit(mv align.Move, n int) {
@@ -150,66 +153,79 @@ func (h *solver) solve(ra, rb []byte, tb, te int64) error {
 	return h.solve(ra[mid+1:], rb[bestJ:], 0, te)
 }
 
-// split runs the forward pass over ra[:mid] and the backward pass over
-// ra[mid:] and returns the column where the optimal path crosses row mid,
-// with the crossing type. Its rows are released before it returns, so the
-// recursion holds no split rows while it descends.
+// split runs the forward pass over ra[:mid] and the same pass over the
+// reversed ra[mid:] and rb, and returns the column where the optimal path
+// crosses row mid, with the crossing type. Its rows are released before it
+// returns, so the recursion holds no split rows while it descends.
 func (h *solver) split(ra, rb []byte, mid int, tb, te int64) (bestJ, bestType int, err error) {
-	M, N := len(ra), len(rb)
+	N := len(rb)
 	affine := h.k.Mod.IsAffine()
 	open := h.k.Mod.Open
 
 	// Forward pass over ra[:mid]: row-mid H (and, affine, E) values.
-	fwd := h.k.NewEdge(N)
+	fwd, err := h.sweep(ra[:mid], rb, tb)
+	if err != nil {
+		return 0, 0, err
+	}
 	defer h.k.PutEdge(fwd)
-	top := h.k.LeadEdge(N, 0)
-	left := h.gapRunEdge(mid, tb, false)
-	err = h.k.Forward(ra[:mid], rb, top, left, fwd, kernel.Edge{})
-	h.k.PutEdge(top)
-	h.k.PutEdge(left)
-	if err != nil {
-		return 0, 0, err
-	}
-	if affine {
-		// Column 0 is one vertical run (the left boundary is a gap run), so
-		// the vertical-gap state there equals the closed state; the sweep
-		// itself leaves the out-edge E lane dead at column 0.
-		fwd.G[0] = fwd.H[0]
-	}
 
-	// Backward pass over ra[mid:]: suffix values at row mid.
-	bwd := h.k.NewEdge(N)
-	defer h.k.PutEdge(bwd)
-	bottom := h.trailingEdge(N)
-	right := h.gapRunEdge(M-mid, te, true)
-	err = h.k.Backward(ra[mid:], rb, bottom, right, bwd, kernel.Edge{})
-	h.k.PutEdge(bottom)
-	h.k.PutEdge(right)
+	// Suffix pass: the suffix problem of ra[mid:] is the prefix problem of
+	// the reversed residues, so its row-mid value at column j is rev[N-j].
+	h.revA = reverse(h.revA, ra[mid:])
+	h.revB = reverse(h.revB, rb)
+	rev, err := h.sweep(h.revA, h.revB, te)
 	if err != nil {
 		return 0, 0, err
 	}
-	if affine {
-		// Mirror patch: column N of the suffix problem is one vertical run.
-		bwd.G[N] = bwd.H[N]
-	}
+	defer h.k.PutEdge(rev)
 
 	// Choose the crossing column (smallest maximising j for determinism).
 	// Type 1: the path crosses row mid in the closed state. Type 2 (affine):
 	// a vertical gap spans rows mid and mid+1 at column j, refunding one
 	// gap-open charge; the two straddling Up moves are emitted directly.
 	bestType = 1
-	best := fwd.H[0] + bwd.H[0]
+	best := fwd.H[0] + rev.H[N]
 	for j := 0; j <= N; j++ {
-		if v := fwd.H[j] + bwd.H[j]; v > best {
+		if v := fwd.H[j] + rev.H[N-j]; v > best {
 			best, bestJ, bestType = v, j, 1
 		}
 		if affine {
-			if v := fwd.G[j] + bwd.G[j] - open; v > best {
+			if v := fwd.G[j] + rev.G[N-j] - open; v > best {
 				best, bestJ, bestType = v, j, 2
 			}
 		}
 	}
 	return bestJ, bestType, nil
+}
+
+// sweep runs Forward over ra against rb from a zero-cornered leading top
+// edge and a left edge of one vertical gap run whose open charge is d, and
+// returns the last row.
+func (h *solver) sweep(ra, rb []byte, d int64) (kernel.Edge, error) {
+	out := h.k.NewEdge(len(rb))
+	top := h.k.LeadEdge(len(rb), 0)
+	left := h.gapRunEdge(len(ra), d)
+	err := h.k.Forward(ra, rb, top, left, out, kernel.Edge{})
+	h.k.PutEdge(top)
+	h.k.PutEdge(left)
+	if err != nil {
+		h.k.PutEdge(out)
+		return kernel.Edge{}, err
+	}
+	if out.G != nil {
+		// Column 0 is one vertical run (the left boundary is a gap run), so
+		// the vertical-gap state there equals the closed state; the sweep
+		// itself leaves the out-edge E lane dead at column 0.
+		out.G[0] = out.H[0]
+	}
+	return out, nil
+}
+
+// reverse returns src reversed, in dst's storage when it is large enough.
+func reverse(dst, src []byte) []byte {
+	dst = append(dst[:0], src...)
+	slices.Reverse(dst)
+	return dst
 }
 
 // solveFull solves a base-case subproblem with a stored plane set (reused
@@ -276,38 +292,14 @@ func (h *solver) solveSingleRow(ra, rb []byte, tb, te int64) {
 }
 
 // gapRunEdge builds the boundary of one vertical gap run of length n whose
-// open charge is the discount d: H[0] = 0, H[i] = d + i*Ext (or, when
-// suffix, H[n] = 0 and H[i] = d + (n-i)*Ext). The gap lane is dead — the
-// run's state is carried by H, and the crossing lane (F) cannot be live on a
-// standalone column boundary.
-func (h *solver) gapRunEdge(n int, d int64, suffix bool) kernel.Edge {
+// open charge is the discount d: H[0] = 0, H[i] = d + i*Ext. The gap lane is
+// dead — the run's state is carried by H, and the crossing lane (F) cannot
+// be live on a standalone column boundary.
+func (h *solver) gapRunEdge(n int, d int64) kernel.Edge {
 	e := h.k.NewEdge(n)
-	if suffix {
-		e.H[n] = 0
-		for i := n - 1; i >= 0; i-- {
-			e.H[i] = d + int64(n-i)*h.k.Mod.Ext
-		}
-	} else {
-		e.H[0] = 0
-		for i := 1; i <= n; i++ {
-			e.H[i] = d + int64(i)*h.k.Mod.Ext
-		}
-	}
-	if e.G != nil {
-		for i := range e.G {
-			e.G[i] = kernel.NegInf
-		}
-	}
-	return e
-}
-
-// trailingEdge is the bottom boundary of a standalone suffix problem:
-// H[j] = GapCost(N-j) (zero at j = N), gap lane dead.
-func (h *solver) trailingEdge(n int) kernel.Edge {
-	e := h.k.NewEdge(n)
-	e.H[n] = 0
-	for j := n - 1; j >= 0; j-- {
-		e.H[j] = h.k.Mod.GapCost(n - j)
+	e.H[0] = 0
+	for i := 1; i <= n; i++ {
+		e.H[i] = d + int64(i)*h.k.Mod.Ext
 	}
 	if e.G != nil {
 		for i := range e.G {

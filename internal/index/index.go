@@ -178,9 +178,6 @@ func (ix *Index) DistinctGrams() int      { return ix.distinct }
 func (ix *Index) Postings() int64         { return ix.postings }
 func (ix *Index) Residues() int64         { return ix.residues }
 
-// EntryLen reports the residue length of corpus entry e.
-func (ix *Index) EntryLen(e int) int { return int(ix.lens[e]) }
-
 // Bound is the scoring-system abstraction the q-gram lemma runs on.
 type Bound struct {
 	// Match is the maximum diagonal (identity) score a.

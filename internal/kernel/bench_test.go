@@ -2,7 +2,6 @@ package kernel_test
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"fastlsa/internal/kernel"
@@ -23,27 +22,18 @@ var proteinDivergence20 = seq.MutationModel{
 	IndelExtend:      0.5,
 }
 
-// benchSweep times one sweep direction over x vs y with end-gap edges,
-// reporting bytes/s as cells/s.
-func benchSweep(b *testing.B, x, y []byte, m *scoring.Matrix, mod kernel.Model, backward bool) {
+// benchSweep times Forward over x vs y with end-gap edges, reporting
+// bytes/s as cells/s.
+func benchSweep(b *testing.B, x, y []byte, m *scoring.Matrix, mod kernel.Model) {
 	k := kernel.New(m, mod, memory.NewRowPool(), nil)
 	top := k.LeadEdge(len(y), 0)
 	left := k.LeadEdge(len(x), 0)
 	out := k.NewEdge(len(y))
-	sweep := k.Forward
-	if backward {
-		// Trailing-gap boundaries: the leading-gap edges read back to front.
-		for _, e := range []kernel.Edge{top, left} {
-			slices.Reverse(e.H)
-			slices.Reverse(e.G)
-		}
-		sweep = k.Backward
-	}
 	b.SetBytes(int64(len(x)) * int64(len(y)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sweep(x, y, top, left, out, kernel.Edge{}); err != nil {
+		if err := k.Forward(x, y, top, left, out, kernel.Edge{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +44,7 @@ func benchSweep(b *testing.B, x, y []byte, m *scoring.Matrix, mod kernel.Model, 
 // unrelated random pair.
 func BenchmarkForwardAffine(b *testing.B) {
 	x, y := testutil.RandomPair(1024, 1024, seq.Protein, 8)
-	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1), false)
+	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1))
 }
 
 // BenchmarkForwardAffineHomologous is the three-plane sweep over a pair
@@ -65,7 +55,7 @@ func BenchmarkForwardAffineHomologous(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1), false)
+	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1))
 }
 
 // dnaDivergence30 mutates DNA pairs the way the served jobs-durable
@@ -106,7 +96,7 @@ func BenchmarkForwardWidth(b *testing.B) {
 			}{{"scalar", 1 << 30}, {"packed", 0}} {
 				b.Run(fmt.Sprintf("%s/w=%d/%s", g.name, w, path.name), func(b *testing.B) {
 					defer kernel.SetPackedMinWidth(path.minWidth)()
-					benchSweep(b, x.Residues[:min(w, x.Len())], y.Residues[:min(w, y.Len())], g.m, g.mod, false)
+					benchSweep(b, x.Residues[:min(w, x.Len())], y.Residues[:min(w, y.Len())], g.m, g.mod)
 				})
 			}
 		}
@@ -118,17 +108,5 @@ func BenchmarkForwardWidth(b *testing.B) {
 // pooled.
 func BenchmarkForwardLinear(b *testing.B) {
 	x, y := testutil.RandomPair(1024, 1024, seq.DNA, 8)
-	benchSweep(b, x.Residues, y.Residues, scoring.DNASimple, kernel.Linear(-4), false)
-}
-
-// BenchmarkBackwardAffine and BenchmarkBackwardLinear time the suffix
-// sweeps Hirschberg's split step pairs with Forward.
-func BenchmarkBackwardAffine(b *testing.B) {
-	x, y := testutil.RandomPair(1024, 1024, seq.Protein, 8)
-	benchSweep(b, x.Residues, y.Residues, scoring.BLOSUM62, kernel.Affine(-11, -1), true)
-}
-
-func BenchmarkBackwardLinear(b *testing.B) {
-	x, y := testutil.RandomPair(1024, 1024, seq.DNA, 8)
-	benchSweep(b, x.Residues, y.Residues, scoring.DNASimple, kernel.Linear(-4), true)
+	benchSweep(b, x.Residues, y.Residues, scoring.DNASimple, kernel.Linear(-4))
 }

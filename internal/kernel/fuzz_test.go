@@ -18,8 +18,6 @@ import (
 //   - Forward's four output lanes equal the bottom row and right column of
 //     FillRect over the same edges, also when outRow aliases top and when
 //     outRow is left to scratch;
-//   - Backward equals Forward over the reversed residues and edges, also
-//     when outRow aliases bottom;
 //   - a 2 x 2 tiled FillRegion (the parallel base case) equals FillRect.
 func FuzzSweep(f *testing.F) {
 	f.Add(int64(1), uint8(7), uint8(9), uint8(0), uint8(0), uint8(3))
@@ -78,14 +76,6 @@ func randomEdge(rng *rand.Rand, k *kernel.Kernel, n int) kernel.Edge {
 
 func cloneEdge(e kernel.Edge) kernel.Edge {
 	return kernel.Edge{H: slices.Clone(e.H), G: slices.Clone(e.G)}
-}
-
-// reverseEdge returns e with every lane reversed.
-func reverseEdge(e kernel.Edge) kernel.Edge {
-	out := cloneEdge(e)
-	slices.Reverse(out.H)
-	slices.Reverse(out.G)
-	return out
 }
 
 func checkSweep(t *testing.T, k *kernel.Kernel, a, b []byte, top, left kernel.Edge) {
@@ -147,23 +137,6 @@ func checkSweep(t *testing.T, k *kernel.Kernel, a, b []byte, top, left kernel.Ed
 		t.Fatal(err)
 	}
 	equalEdge(t, "scratch-row Forward outCol", scratchCol, wantCol)
-
-	// Backward over the reversed residues and edges mirrors Forward.
-	ra, rb := slices.Clone(a), slices.Clone(b)
-	slices.Reverse(ra)
-	slices.Reverse(rb)
-	for _, aliased := range []bool{false, true} {
-		bottom, right := reverseEdge(top), reverseEdge(left)
-		backRow, backCol := k.NewEdge(n), k.NewEdge(m)
-		if aliased {
-			backRow = bottom
-		}
-		if err := k.Backward(ra, rb, bottom, right, backRow, backCol); err != nil {
-			t.Fatal(err)
-		}
-		equalEdge(t, "Backward outRow (reversed)", reverseEdge(backRow), want)
-		equalEdge(t, "Backward outCol (reversed)", reverseEdge(backCol), wantCol)
-	}
 }
 
 func equalEdge(t *testing.T, what string, got, want kernel.Edge) {

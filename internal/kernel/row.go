@@ -9,12 +9,12 @@ package kernel
 // per row lets the compiler prove every per-cell index in bounds, so the
 // loops compile without spills or bounds checks (the CI bounds-check gate
 // holds this file to zero sites). The recurrences, tie-breaks and evaluation
-// order are exactly those documented on Forward, Backward and FillRegion.
+// order are exactly those documented on Forward and FillRegion.
 //
 // Arguments shared by all of them: b holds the column residues of the row's
 // cells, srow is the score row of its row residue, diag is the H value
-// diagonally up-left of (forward) or down-right of (backward) the first
-// cell, and h (and f) the H (and F) value of the boundary cell before it.
+// diagonally up-left of the first cell, and h (and f) the H (and F) value of
+// the boundary cell before it.
 
 // errLaneLength is the panic of a row function handed a lane whose length
 // differs from the row's residue count: a caller bug, never an input error.
@@ -106,56 +106,4 @@ func affineRowStored(outH, outE, outF, upH, upE []int64, b []byte, srow *[256]in
 		outE[j] = e
 		outF[j] = f
 	}
-}
-
-// linearRowRev is linearRow for the suffix sweep: it runs right to left over
-// row, which holds the row below on entry and this row on return.
-func linearRowRev(row []int64, b []byte, srow *[256]int16, diag, h, gap int64) int64 {
-	if len(row) != len(b) {
-		panic(errLaneLength)
-	}
-	for j := len(b) - 1; j >= 0; j-- {
-		d := row[j]
-		best := diag + int64(srow[b[j]])
-		if v := d + gap; v > best {
-			best = v
-		}
-		if v := h + gap; v > best {
-			best = v
-		}
-		row[j] = best
-		h = best
-		diag = d
-	}
-	return h
-}
-
-// affineRowRev is affineRow for the suffix sweep, right to left.
-func affineRowRev(rowH, rowE []int64, b []byte, srow *[256]int16, diag, h, f, open, ext int64) (int64, int64) {
-	if len(rowH) != len(b) || len(rowE) != len(b) {
-		panic(errLaneLength)
-	}
-	oe := open + ext
-	for j := len(b) - 1; j >= 0; j-- {
-		d := rowH[j]
-		e := rowE[j] + ext
-		if v := d + oe; v > e {
-			e = v
-		}
-		f += ext
-		if v := h + oe; v > f {
-			f = v
-		}
-		h = diag + int64(srow[b[j]])
-		if e > h {
-			h = e
-		}
-		if f > h {
-			h = f
-		}
-		diag = d
-		rowH[j] = h
-		rowE[j] = e
-	}
-	return h, f
 }

@@ -18,14 +18,6 @@ func (k *Kernel) checkEdge(kind, side string, e Edge, n int) error {
 	return nil
 }
 
-// checkOut validates one optional output lane.
-func checkOut(kind, name string, s []int64, want int) error {
-	if s != nil && len(s) != want {
-		return fmt.Errorf("kernel: %s: %s has %d entries, want %d", kind, name, len(s), want)
-	}
-	return nil
-}
-
 // Forward propagates DP values from the top-left boundary to the bottom and
 // right edges of the rectangle in O(n) space — the LastRow primitive of the
 // paper's §2.2 and §5.1, for either gap model.
@@ -62,8 +54,8 @@ func (k *Kernel) Forward(a, b []byte, top, left, outRow, outCol Edge) error {
 		{"outCol H", outCol.H, len(a) + 1},
 		{"outCol gap lane", outCol.G, len(a) + 1},
 	} {
-		if err := checkOut("Forward", chk.name, chk.s, chk.want); err != nil {
-			return err
+		if chk.s != nil && len(chk.s) != chk.want {
+			return fmt.Errorf("kernel: Forward: %s has %d entries, want %d", chk.name, len(chk.s), chk.want)
 		}
 	}
 	if k.Mod.IsAffine() {
@@ -169,147 +161,6 @@ func (k *Kernel) forwardAffine(a, b []byte, top, left, outRow, outCol Edge) erro
 		}
 		if outCol.G != nil {
 			outCol.G[r+1] = f
-		}
-	}
-	k.C.Add(stats.Cells, int64(rows)*int64(n))
-	return nil
-}
-
-// Backward propagates suffix scores from the bottom-right boundary to the
-// top and left edges: outputs are the best scores of aligning a[r..m)
-// against b[c..n) given the values on row m (bottom) and column n (right).
-//
-//   - bottom: node row m (H and, affine, E); right: node column n (H and,
-//     affine, F); they must agree on the corner H value.
-//   - outRow receives node row 0, outCol node column 0; lanes may be nil;
-//     outRow lanes may alias bottom lanes.
-//
-// Hirschberg's split step pairs Forward over the top half with Backward over
-// the bottom half, with no reversed sequence copies for either gap model.
-// Note the E lane of an affine outRow is NegInf at column n and the F lane
-// of an affine outCol is NegInf at row m (those positions sit on the input
-// boundary, which does not carry the lane); callers that need the
-// column-n/row-m gap values (Myers-Miller's ss[N]) patch them from H.
-func (k *Kernel) Backward(a, b []byte, bottom, right, outRow, outCol Edge) error {
-	if err := k.checkEdge("Backward", "bottom", bottom, len(b)); err != nil {
-		return err
-	}
-	if err := k.checkEdge("Backward", "right", right, len(a)); err != nil {
-		return err
-	}
-	n := len(b)
-	rows := len(a)
-	if bottom.H[n] != right.H[rows] {
-		return fmt.Errorf("kernel: Backward: corner mismatch: bottom H[%d]=%d right H[%d]=%d", n, bottom.H[n], rows, right.H[rows])
-	}
-	for _, chk := range []struct {
-		name string
-		s    []int64
-		want int
-	}{
-		{"outRow H", outRow.H, n + 1},
-		{"outRow gap lane", outRow.G, n + 1},
-		{"outCol H", outCol.H, rows + 1},
-		{"outCol gap lane", outCol.G, rows + 1},
-	} {
-		if err := checkOut("Backward", chk.name, chk.s, chk.want); err != nil {
-			return err
-		}
-	}
-	if k.Mod.IsAffine() {
-		return k.backwardAffine(a, b, bottom, right, outRow, outCol)
-	}
-	return k.backwardLinear(a, b, bottom, right, outRow, outCol)
-}
-
-func (k *Kernel) backwardLinear(a, b []byte, bottom, right, outRow, outCol Edge) error {
-	n := len(b)
-	rows := len(a)
-	gap := k.Mod.Ext
-
-	row := outRow.H
-	if row == nil {
-		row = k.Pool.GetFull(n + 1)
-		defer k.Pool.Put(row)
-	}
-	if &row[0] != &bottom.H[0] {
-		copy(row, bottom.H)
-	}
-	if outCol.H != nil {
-		outCol.H[rows] = bottom.H[0]
-	}
-	if rows == 0 {
-		return nil
-	}
-
-	poll := k.C.StartPoll()
-	for r := rows - 1; r >= 0; r-- {
-		if err := poll.Tick(n); err != nil {
-			return err
-		}
-		diag := row[n]
-		row[n] = right.H[r]
-		h := linearRowRev(row[:n], b, k.M.Row(a[r]), diag, row[n], gap)
-		if outCol.H != nil {
-			outCol.H[r] = h
-		}
-	}
-	k.C.Add(stats.Cells, int64(rows)*int64(n))
-	return nil
-}
-
-// backwardAffine runs the suffix form of the Gotoh recurrence:
-//
-//	E(r,j) = ext + max(E(r+1,j), open + H(r+1,j))   (gap entered downward)
-//	F(r,j) = ext + max(F(r,j+1), open + H(r,j+1))   (gap entered rightward)
-//	H(r,j) = max(s(a[r],b[j]) + H(r+1,j+1), E(r,j), F(r,j))
-//
-// the exact mirror of forwardAffine, so a vertical gap crossing row 0
-// surfaces on the outRow E lane just as it does on a forward outRow.
-func (k *Kernel) backwardAffine(a, b []byte, bottom, right, outRow, outCol Edge) error {
-	n := len(b)
-	rows := len(a)
-	open, ext := k.Mod.Open, k.Mod.Ext
-
-	rowH, rowE := outRow.H, outRow.G
-	if rowH == nil {
-		rowH = k.Pool.GetFull(n + 1)
-		defer k.Pool.Put(rowH)
-	}
-	if rowE == nil {
-		rowE = k.Pool.GetFull(n + 1)
-		defer k.Pool.Put(rowE)
-	}
-	if &rowH[0] != &bottom.H[0] {
-		copy(rowH, bottom.H)
-	}
-	if &rowE[0] != &bottom.G[0] {
-		copy(rowE, bottom.G)
-	}
-	if outCol.H != nil {
-		outCol.H[rows] = bottom.H[0]
-	}
-	if outCol.G != nil {
-		outCol.G[rows] = NegInf
-	}
-	if rows == 0 {
-		return nil
-	}
-
-	poll := k.C.StartPoll()
-	for r := rows - 1; r >= 0; r-- {
-		if err := poll.Tick(n); err != nil {
-			return err
-		}
-		diag := rowH[n]
-		rowH[n] = right.H[r]
-		rowE[n] = NegInf
-		h, f := affineRowRev(rowH[:n], rowE[:n], b, k.M.Row(a[r]), diag, rowH[n], right.G[r], open, ext)
-		if outCol.H != nil {
-			outCol.H[r] = h
-		}
-		if outCol.G != nil {
-			outCol.G[r] = f
 		}
 	}
 	k.C.Add(stats.Cells, int64(rows)*int64(n))

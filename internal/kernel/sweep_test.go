@@ -39,51 +39,6 @@ func TestForwardAffineMatchesGotoh(t *testing.T) {
 	}
 }
 
-// TestBackwardAffineMirrorsForward: the affine Backward sweep over (a, b)
-// equals the Forward sweep over the reversed sequences.
-func TestBackwardAffineMirrorsForward(t *testing.T) {
-	open, ext := int64(-5), int64(-1)
-	for seed := int64(0); seed < 8; seed++ {
-		a, b := testutil.RandomPair(int(seed%9)+1, int(seed*5%13)+1, seq.DNA, seed+400)
-		m := testutil.RandomMatrix(seq.DNA, seed+400)
-		k := kernel.New(m, kernel.Affine(open, ext), nil, nil)
-
-		bottom := k.NewEdge(b.Len())
-		right := k.NewEdge(a.Len())
-		bottom.H[b.Len()] = 0
-		for j := b.Len() - 1; j >= 0; j-- {
-			bottom.H[j] = k.Mod.GapCost(b.Len() - j)
-		}
-		right.H[a.Len()] = 0
-		for r := a.Len() - 1; r >= 0; r-- {
-			right.H[r] = k.Mod.GapCost(a.Len() - r)
-		}
-		for i := range bottom.G {
-			bottom.G[i] = kernel.NegInf
-		}
-		for i := range right.G {
-			right.G[i] = kernel.NegInf
-		}
-		outRow := k.NewEdge(b.Len())
-		if err := k.Backward(a.Residues, b.Residues, bottom, right, outRow, kernel.Edge{}); err != nil {
-			t.Fatal(err)
-		}
-
-		ar, br := a.Reverse(), b.Reverse()
-		top := k.LeadEdge(br.Len(), 0)
-		left := k.LeadEdge(ar.Len(), 0)
-		fwd := k.NewEdge(br.Len())
-		if err := k.Forward(ar.Residues, br.Residues, top, left, fwd, kernel.Edge{}); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j <= b.Len(); j++ {
-			if outRow.H[j] != fwd.H[b.Len()-j] {
-				t.Fatalf("seed %d: backward[%d]=%d, mirrored forward=%d", seed, j, outRow.H[j], fwd.H[b.Len()-j])
-			}
-		}
-	}
-}
-
 func TestForwardValidation(t *testing.T) {
 	a, b := testutil.RandomPair(3, 3, seq.DNA, 1)
 	m := scoring.DNASimple

@@ -55,22 +55,11 @@ func TestAlphabet(t *testing.T) {
 	}
 }
 
-func TestReverseAndSlice(t *testing.T) {
+func TestSlice(t *testing.T) {
 	s := seq.MustNew("x", "ACGTT", seq.DNA)
-	r := s.Reverse()
-	if r.String() != "TTGCA" {
-		t.Fatalf("reverse = %q", r.String())
-	}
-	if rr := r.Reverse(); rr.String() != s.String() {
-		t.Fatalf("double reverse = %q", rr.String())
-	}
 	sub := s.Slice(1, 4)
 	if sub.String() != "CGT" {
 		t.Fatalf("slice = %q", sub.String())
-	}
-	comp := s.Composition()
-	if comp['T'] != 2 || comp['A'] != 1 {
-		t.Fatalf("composition = %v", comp)
 	}
 }
 
@@ -143,11 +132,10 @@ func TestRandomWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := s.Composition()
-	if comp['C'] != 0 || comp['G'] != 0 {
-		t.Fatalf("zero-weight letters appeared: %v", comp)
+	if c, g := strings.Count(s.String(), "C"), strings.Count(s.String(), "G"); c != 0 || g != 0 {
+		t.Fatalf("zero-weight letters appeared: %d C, %d G", c, g)
 	}
-	if frac := float64(comp['A']) / 4000; frac < 0.7 || frac > 0.9 {
+	if frac := float64(strings.Count(s.String(), "A")) / 4000; frac < 0.7 || frac > 0.9 {
 		t.Fatalf("A fraction %.2f far from 0.8", frac)
 	}
 	if _, err := seq.RandomWeighted("w", 10, seq.DNA, []float64{1, 2}, 1); err == nil {

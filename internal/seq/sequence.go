@@ -65,20 +65,6 @@ func (s *Sequence) Clone() *Sequence {
 	return &Sequence{ID: s.ID, Residues: r, Alphabet: s.Alphabet}
 }
 
-// Reverse returns a new sequence with the residues in reverse order.
-// Hirschberg-style algorithms align one half against a reversed sequence.
-func (s *Sequence) Reverse() *Sequence {
-	r := make([]byte, len(s.Residues))
-	for i, c := range s.Residues {
-		r[len(r)-1-i] = c
-	}
-	id := s.ID
-	if id != "" {
-		id += "_rev"
-	}
-	return &Sequence{ID: id, Residues: r, Alphabet: s.Alphabet}
-}
-
 // Slice returns the subsequence covering residues [lo, hi) as a view
 // (no copy). The returned sequence shares backing storage with s.
 func (s *Sequence) Slice(lo, hi int) *Sequence {
@@ -96,15 +82,6 @@ func Equal(a, b *Sequence) bool {
 		}
 	}
 	return true
-}
-
-// Composition counts each residue letter.
-func (s *Sequence) Composition() map[byte]int {
-	m := make(map[byte]int, len(s.Alphabet.Letters))
-	for _, c := range s.Residues {
-		m[c]++
-	}
-	return m
 }
 
 func upper(c byte) byte {

@@ -4,7 +4,7 @@
 // scores of unrelated random sequences follow an extreme-value (Gumbel)
 // distribution; the package fits its parameters (lambda, K) by Monte-Carlo
 // simulation against the chosen scoring system and converts raw scores into
-// E-values, P-values and bit scores, Karlin-Altschul style. Everything is
+// E-values and bit scores, Karlin-Altschul style. Everything is
 // deterministic for a fixed seed.
 package significance
 
@@ -130,11 +130,6 @@ func Estimate(m *scoring.Matrix, gap scoring.Gap, opt Options) (Params, error) {
 // m x n search space.
 func (p Params) EValue(s int64, m, n int) float64 {
 	return p.K * float64(m) * float64(n) * math.Exp(-p.Lambda*float64(s))
-}
-
-// PValue is the probability of at least one chance hit with score >= s.
-func (p Params) PValue(s int64, m, n int) float64 {
-	return -math.Expm1(-p.EValue(s, m, n))
 }
 
 // BitScore normalises a raw score into bits, comparable across scoring

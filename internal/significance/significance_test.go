@@ -47,26 +47,23 @@ func TestEstimateBasics(t *testing.T) {
 	}
 }
 
-func TestPValueProperties(t *testing.T) {
+func TestEValueProperties(t *testing.T) {
 	p := fitDNA(t)
 	const m, n = 1000, 1_000_000
-	prev := 1.1
+	prev := math.Inf(1)
 	for s := int64(20); s <= 400; s += 20 {
-		pv := p.PValue(s, m, n)
-		if pv < 0 || pv > 1 {
-			t.Fatalf("P(%d) = %g outside [0,1]", s, pv)
-		}
-		if pv > prev+1e-12 {
-			t.Fatalf("P-value not monotone at %d: %g > %g", s, pv, prev)
-		}
-		prev = pv
-		if ev := p.EValue(s, m, n); ev < 0 {
+		ev := p.EValue(s, m, n)
+		if ev < 0 {
 			t.Fatalf("E(%d) = %g negative", s, ev)
 		}
+		if ev > prev {
+			t.Fatalf("E-value not monotone at %d: %g > %g", s, ev, prev)
+		}
+		prev = ev
 	}
 	// A huge score is essentially impossible by chance.
-	if pv := p.PValue(5000, m, n); pv > 1e-6 {
-		t.Fatalf("P(5000) = %g, want ~0", pv)
+	if ev := p.EValue(5000, m, n); ev > 1e-6 {
+		t.Fatalf("E(5000) = %g, want ~0", ev)
 	}
 	// E-values scale linearly with the search space.
 	if r := p.EValue(100, 1000, 2000) / p.EValue(100, 1000, 1000); math.Abs(r-2) > 1e-9 {
@@ -85,12 +82,14 @@ func TestCalibration(t *testing.T) {
 	p := fitDNA(t)
 	area := p.SampleLen
 	mid := int64(p.MeanScore)
-	if pv := p.PValue(mid, area, area); pv < 0.2 {
-		t.Fatalf("P(mean score) = %g, want large (typical score)", pv)
+	// The chance of at least one hit is 1 - exp(-E): at least 0.2 at the
+	// mean, at most 0.05 eight deviations above it.
+	if ev := p.EValue(mid, area, area); ev < -math.Log(0.8) {
+		t.Fatalf("E(mean score) = %g, want large (typical score)", ev)
 	}
 	tail := int64(p.MeanScore + 8*p.StdDev)
-	if pv := p.PValue(tail, area, area); pv > 0.05 {
-		t.Fatalf("P(mean + 8sd) = %g, want small", pv)
+	if ev := p.EValue(tail, area, area); ev > -math.Log(0.95) {
+		t.Fatalf("E(mean + 8sd) = %g, want small", ev)
 	}
 }
 

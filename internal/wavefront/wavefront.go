@@ -232,24 +232,3 @@ func ClassifyPhases(rows, cols, workers int, skip func(r, c int) bool) Phases {
 	}
 	return p
 }
-
-// DiagonalOrder returns the tiles in sequential wavefront order (Figure 7):
-// anti-diagonal by anti-diagonal, top-to-bottom within a diagonal. Used by
-// tests and by deterministic single-threaded fills.
-func DiagonalOrder(rows, cols int) [][2]int {
-	out := make([][2]int, 0, rows*cols)
-	for d := 0; d < rows+cols-1; d++ {
-		rLo := d - (cols - 1)
-		if rLo < 0 {
-			rLo = 0
-		}
-		rHi := d
-		if rHi > rows-1 {
-			rHi = rows - 1
-		}
-		for r := rLo; r <= rHi; r++ {
-			out = append(out, [2]int{r, d - r})
-		}
-	}
-	return out
-}

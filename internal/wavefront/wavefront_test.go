@@ -115,20 +115,6 @@ func TestRunSingleTile(t *testing.T) {
 	}
 }
 
-// TestDiagonalOrder checks the Figure 7 sequential wavefront enumeration.
-func TestDiagonalOrder(t *testing.T) {
-	got := wavefront.DiagonalOrder(2, 3)
-	want := [][2]int{{0, 0}, {0, 1}, {1, 0}, {0, 2}, {1, 1}, {1, 2}}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestClassifyPhasesFigure13 reproduces the paper's Figure 13 configuration:
 // P=8 workers, k=6, u=2, v=3 gives a 12x18 tile grid whose bottom-right
 // block (2x3 tiles) is skipped. Phase 1 must hold P(P-1)/2 = 28 tiles
