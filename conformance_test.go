@@ -35,7 +35,7 @@ import (
 // by the backend that served the run.
 var identicalPaths = map[string]bool{
 	backend.NameFastLSA:    true,
-	backend.NameFullMatrix: true, // sequential and wavefront-parallel
+	backend.NameFullMatrix: true, // sequential, and FastLSA's parallel Base Case
 	backend.NameCompact:    true,
 	"fm-banded":            true,
 }
@@ -279,6 +279,17 @@ func checkCase(t *testing.T, subjects []confSubject, c confCase) {
 		if countsEveryCell(served, c) && counters.Cells.Load() < mn {
 			t.Errorf("%s (served by %s): %v: %d cells counted, below m·n = %d", s.name, served, c, counters.Cells.Load(), mn)
 		}
+		if served == backend.NameFullMatrix {
+			// The full matrix computes every cell once on any worker
+			// count, and a parallel global run of at least the
+			// parallel-fill area fills it in wavefront tiles.
+			if counters.Cells.Load() != mn {
+				t.Errorf("%s: %v: %d cells counted, want m·n = %d", s.name, c, counters.Cells.Load(), mn)
+			}
+			if c.workers > 1 && c.mode.IsGlobal() && mn >= core.DefaultParallelFillCells && counters.Snapshot()[stats.FillTiles] == 0 {
+				t.Errorf("%s: %v: parallel run filled no wavefront tiles", s.name, c)
+			}
+		}
 		if served == backend.NameFastLSA {
 			if bound := sequentialBound(t, s, c); counters.Cells.Load() > bound {
 				t.Errorf("%s: %v: %d cells counted, above Theorem 2's recurrence %d", s.name, c, counters.Cells.Load(), bound)
@@ -476,6 +487,13 @@ func confCases(t testing.TB) []confCase {
 		add(c)
 	}
 
+	// The parallel full matrix under affine gaps, above the parallel-fill
+	// area.
+	{
+		a, b := mustPair(t, 300, 0.05, 3)
+		add(confCase{name: "fm-parallel", a: a, b: b, sys: dnaAffine, workers: 2})
+	}
+
 	// Shifted repeats (a = R1+S, b = S+R2): the optimal path leaves every
 	// narrow band around the main diagonal.
 	for seed := int64(0); seed < 24; seed++ {
@@ -538,9 +556,9 @@ func classify(err error) errClass {
 
 // errSubjects are the entry points TestConformanceErrors asks, in the
 // column order of its table: fastlsa.Align under AlgoAuto and under each
-// backend, Score, AlignLocal under AlgoAuto and AlgoFullMatrix, and
-// AlignBanded with band 0.
-var errSubjects = [...]string{"auto", "fastlsa", "fm", "hirschberg", "compact", "wfa", "score", "local/auto", "local/fm", "banded/0"}
+// backend (fm also on four workers), Score, AlignLocal under AlgoAuto and
+// AlgoFullMatrix, and AlignBanded with band 0.
+var errSubjects = [...]string{"auto", "fastlsa", "fm", "fm/P4", "hirschberg", "compact", "wfa", "score", "local/auto", "local/fm", "banded/0"}
 
 // TestConformanceErrors pins the error class every entry point returns for
 // each kind of refused request. Every row names every subject.
@@ -563,26 +581,29 @@ func TestConformanceErrors(t *testing.T) {
 		opt  func(*fastlsa.Options)
 		want [len(errSubjects)]errClass
 	}{
-		{"nil matrix", base, func(o *fastlsa.Options) { o.Matrix = nil }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
-		{"positive gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Linear(1) }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
-		{"negative budget", base, func(o *fastlsa.Options) { o.MemoryBudget = -1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
-		{"K 1", base, func(o *fastlsa.Options) { o.K = 1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
-		{"K -3", base, func(o *fastlsa.Options) { o.K = -3 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
-		{"BaseCells 3", base, func(o *fastlsa.Options) { o.BaseCells = 3 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
-		{"negative workers", base, func(o *fastlsa.Options) { o.Workers = -1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
-		{"budget too small", base, func(o *fastlsa.Options) { o.MemoryBudget = 64 }, [...]errClass{tooSmall, tooSmall, tooSmall, tooSmall, tooSmall, errExceeded, tooSmall, tooSmall, tooSmall, tooSmall}},
-		{"pre-cancelled context", base, func(o *fastlsa.Options) { o.Context = cancelled }, [...]errClass{errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled}},
-		{"ends-free mode", base, func(o *fastlsa.Options) { o.Mode = align.Overlap }, [...]errClass{ok, ok, ok, invalid, invalid, invalid, ok, ok, ok, invalid}},
-		{"affine gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Affine(-6, -2) }, [...]errClass{ok, ok, ok, ok, invalid, ok, ok, ok, ok, invalid}},
-		{"non-uniform matrix", confCase{name: "errors", a: pa, b: pb, sys: protein, workers: 1}, nil, [...]errClass{ok, ok, ok, ok, ok, invalid, ok, ok, ok, ok}},
+		{"nil matrix", base, func(o *fastlsa.Options) { o.Matrix = nil }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"positive gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Linear(1) }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"negative budget", base, func(o *fastlsa.Options) { o.MemoryBudget = -1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"K 1", base, func(o *fastlsa.Options) { o.K = 1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"K -3", base, func(o *fastlsa.Options) { o.K = -3 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"BaseCells 3", base, func(o *fastlsa.Options) { o.BaseCells = 3 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"negative workers", base, func(o *fastlsa.Options) { o.Workers = -1 }, [...]errClass{invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid, invalid}},
+		{"budget too small", base, func(o *fastlsa.Options) { o.MemoryBudget = 64 }, [...]errClass{tooSmall, tooSmall, tooSmall, tooSmall, tooSmall, tooSmall, errExceeded, tooSmall, tooSmall, tooSmall, tooSmall}},
+		{"pre-cancelled context", base, func(o *fastlsa.Options) { o.Context = cancelled }, [...]errClass{errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled, errCanceled}},
+		{"ends-free mode", base, func(o *fastlsa.Options) { o.Mode = align.Overlap }, [...]errClass{ok, ok, ok, ok, invalid, invalid, invalid, ok, ok, ok, invalid}},
+		{"affine gap", base, func(o *fastlsa.Options) { o.Gap = scoring.Affine(-6, -2) }, [...]errClass{ok, ok, ok, ok, ok, invalid, ok, ok, ok, ok, invalid}},
+		{"non-uniform matrix", confCase{name: "errors", a: pa, b: pb, sys: protein, workers: 1}, nil, [...]errClass{ok, ok, ok, ok, ok, ok, invalid, ok, ok, ok, ok}},
 		// Align and local/fm subjects set their own Algorithm; Score runs
 		// its sweep whatever Algorithm names.
-		{"algorithm hirschberg", base, func(o *fastlsa.Options) { o.Algorithm = fastlsa.AlgoHirschberg }, [...]errClass{ok, ok, ok, ok, ok, ok, ok, invalid, ok, invalid}},
+		{"algorithm hirschberg", base, func(o *fastlsa.Options) { o.Algorithm = fastlsa.AlgoHirschberg }, [...]errClass{ok, ok, ok, ok, ok, ok, ok, ok, invalid, ok, invalid}},
 	}
 	for _, row := range rows {
 		for i, subject := range errSubjects {
 			want := row.want[i]
 			opt := row.c.options(nil)
+			if subject == "fm/P4" {
+				opt.Workers = 4
+			}
 			if row.opt != nil {
 				row.opt(&opt)
 			}
@@ -597,6 +618,9 @@ func TestConformanceErrors(t *testing.T) {
 				_, err = fastlsa.AlignLocal(row.c.a, row.c.b, opt)
 			case "banded/0":
 				_, err = fastlsa.AlignBanded(row.c.a, row.c.b, opt, 0)
+			case "fm/P4":
+				opt.Algorithm = fastlsa.AlgoFullMatrix
+				_, err = fastlsa.Align(row.c.a, row.c.b, opt)
 			default:
 				algo, perr := fastlsa.ParseAlgorithm(subject)
 				if perr != nil {
@@ -652,7 +676,7 @@ func TestConformanceErrors(t *testing.T) {
 // FuzzBackends runs the harness on fuzzer-chosen DNA pairs: two free
 // strings, or a string and a mutated copy of it when rate is in (0, 1]
 // (the E13 divergence ladder seeds that shape), under linear and affine
-// gaps and fuzzer-chosen FastLSA parameters.
+// gaps, on one and two workers, with fuzzer-chosen FastLSA parameters.
 func FuzzBackends(f *testing.F) {
 	f.Add("ACGTACGT", "ACTTACG", 0.0, int64(0), uint8(2), uint8(4))
 	f.Add("A", "TTTTTTTT", 0.0, int64(0), uint8(3), uint8(0))
@@ -676,7 +700,9 @@ func FuzzBackends(f *testing.F) {
 		base := core.MinBaseCells + int(bm8)*8
 		for _, sys := range []confSystem{dnaLinear, dnaAffine} {
 			for _, md := range []align.Mode{align.Global, align.Overlap} {
-				checkCase(t, subjects, confCase{name: "fuzz", a: a, b: b, sys: sys, mode: md, k: k, base: base, workers: 1})
+				for _, p := range []int{1, 2} {
+					checkCase(t, subjects, confCase{name: "fuzz", a: a, b: b, sys: sys, mode: md, k: k, base: base, workers: p})
+				}
 			}
 		}
 	})

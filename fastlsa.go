@@ -253,6 +253,9 @@ const (
 	// AlgoFastLSA forces FastLSA with the explicit K/BaseCells parameters.
 	AlgoFastLSA
 	// AlgoFullMatrix forces the Needleman-Wunsch full-matrix algorithm.
+	// With Workers > 1 a global alignment fills the matrix in parallel, as
+	// FastLSA's parallel Base Case over the whole matrix, under either gap
+	// model.
 	AlgoFullMatrix
 	// AlgoHirschberg forces Hirschberg's linear-space algorithm
 	// (Myers-Miller under affine gaps).
@@ -605,7 +608,7 @@ func Score(a, b *Sequence, opt Options) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	k := kernel.New(e.opt.Matrix, kernel.FromGap(e.opt.Gap), rowPool, e.opt.Counters)
+	k := kernel.New(e.opt.Matrix, kernel.FromGap(e.opt.Gap), memory.Shared, e.opt.Counters)
 	charge := k.Mod.Lanes() * 2 * int64(a.Len()+b.Len()+2)
 	if err := e.budget.ReserveRun(charge); err != nil {
 		return 0, fmt.Errorf("fastlsa: Score rows of %d entries: %w", charge, err)
@@ -613,9 +616,6 @@ func Score(a, b *Sequence, opt Options) (int64, error) {
 	defer e.budget.Release(charge)
 	return k.Score(a.Residues, b.Residues, e.opt.Mode)
 }
-
-// rowPool recycles the boundary and output vectors of score-only sweeps.
-var rowPool = memory.NewRowPool()
 
 // AlignLocal computes the optimal Smith-Waterman local alignment under
 // either gap model. AlgoAuto and AlgoFastLSA run in FastLSA-bounded space;

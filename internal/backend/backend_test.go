@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"fastlsa/internal/backend"
+	"fastlsa/internal/fm"
+	"fastlsa/internal/scoring"
+	"fastlsa/internal/seq"
 )
 
 // TestRegistryShape pins the registration order and alias sets the facade's
@@ -71,6 +74,27 @@ func TestCapabilities(t *testing.T) {
 		_, local := info.Impl.(backend.LocalAligner)
 		if want := info.Name == backend.NameFastLSA || info.Name == backend.NameFullMatrix; local != want {
 			t.Fatalf("%s serves local alignment: %t, want %t", info.Name, local, want)
+		}
+	}
+}
+
+// TestFMParallelEdges: the parallel fm backend aligns an empty sequence
+// along the boundary under either gap model, as the sequential one does.
+func TestFMParallelEdges(t *testing.T) {
+	fmb, _ := backend.Lookup(backend.NameFullMatrix)
+	empty := seq.MustNew("e", "", seq.DNA)
+	b := seq.MustNew("b", "ACG", seq.DNA)
+	for _, gap := range []scoring.Gap{scoring.Linear(-2), scoring.Affine(-5, -1)} {
+		want, err := fm.Align(empty, b, scoring.DNAStrict, gap, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fmb.Align(empty, b, backend.Request{Matrix: scoring.DNAStrict, Gap: gap, Workers: 4})
+		if err != nil {
+			t.Fatalf("%v: %v", gap, err)
+		}
+		if res.Path.String() != "LLL" || res.Score != want.Score {
+			t.Fatalf("%v: path %q score %d, want LLL score %d", gap, res.Path, res.Score, want.Score)
 		}
 	}
 }

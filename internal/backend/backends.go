@@ -1,9 +1,12 @@
 package backend
 
 import (
+	"math"
+
 	"fastlsa/internal/core"
 	"fastlsa/internal/fm"
 	"fastlsa/internal/hirschberg"
+	"fastlsa/internal/obs"
 	"fastlsa/internal/seq"
 	"fastlsa/internal/wfa"
 )
@@ -21,7 +24,7 @@ func init() {
 	Register(Info{
 		Name:    NameFullMatrix,
 		Aliases: []string{"full-matrix", "nw", "needleman-wunsch"},
-		Summary: "Needleman-Wunsch full matrix; wavefront-parallel under linear gaps",
+		Summary: "Needleman-Wunsch full matrix; wavefront-parallel (FastLSA's parallel Base Case over the whole matrix) under either gap model",
 		Impl:    fmBackend{},
 	})
 	Register(Info{
@@ -81,8 +84,15 @@ func (fmBackend) Align(a, b *seq.Sequence, req Request) (fm.Result, error) {
 	if err != nil {
 		return fm.Result{}, err
 	}
-	if req.Workers > 1 && req.Gap.IsLinear() && req.Mode.IsGlobal() {
-		return fm.AlignParallel(a, b, req.Matrix, req.Gap, req.Workers, budget, req.Counters)
+	if req.Workers > 1 && req.Mode.IsGlobal() {
+		// Parallel FM is FastLSA's parallel Base Case over the whole matrix:
+		// a Base Case buffer of (m+1)(n+1) entries makes the root direct.
+		// Its phases stay out of FastLSA's totals, as sequential fm runs do.
+		whole := min(int64(a.Len()+1)*int64(b.Len()+1), math.MaxInt)
+		return core.Align(a, b, req.Matrix, req.Gap, core.Options{
+			BaseCells: max(int(whole), core.MinBaseCells), Workers: req.Workers,
+			Budget: budget, Counters: req.Counters, Obs: obs.Nested(),
+		})
 	}
 	return fm.AlignMode(a, b, req.Matrix, req.Gap, req.Mode, budget, req.Counters)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fastlsa/internal/core"
 	"fastlsa/internal/wavefront"
 )
 
@@ -88,20 +89,12 @@ func simulateRectFill(rows, cols, p int, skip func(r, c int) bool, R, C int) (ma
 	if C < 1 {
 		C = 1
 	}
-	trs := bounds(rows, R)
-	tcs := bounds(cols, C)
+	trs := core.SplitBoundaries(0, rows, R)
+	tcs := core.SplitBoundaries(0, cols, C)
 	cost := func(ti, tj int) int64 {
 		return int64(trs[ti+1]-trs[ti]) * int64(tcs[tj+1]-tcs[tj])
 	}
 	return wavefront.Simulate(R, C, p, skip, cost)
-}
-
-func bounds(n, t int) []int {
-	bs := make([]int, t+1)
-	for i := 0; i <= t; i++ {
-		bs[i] = n * i / t
-	}
-	return bs
 }
 
 // ModelSpeedup returns the simulated speedup of cfg over the same

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"fastlsa/internal/backend"
 	"fastlsa/internal/core"
 	"fastlsa/internal/fm"
 	"fastlsa/internal/hirschberg"
@@ -156,8 +157,9 @@ func Run(a, b *seq.Sequence, matrix *scoring.Matrix, cfg Config) Measurement {
 		res, err = fm.Align(a, b, matrix, gap, budget, &c)
 		score = res.Score
 	case EngineFMParallel:
+		fmb, _ := backend.Lookup(backend.NameFullMatrix)
 		var res fm.Result
-		res, err = fm.AlignParallel(a, b, matrix, gap, workers, budget, &c)
+		res, err = fmb.Align(a, b, backend.Request{Matrix: matrix, Gap: gap, MemoryBudget: cfg.Budget, Workers: workers, Counters: &c})
 		score = res.Score
 	case EngineHirschberg:
 		var res fm.Result

@@ -6,6 +6,7 @@ import (
 	"fastlsa/internal/align"
 	"fastlsa/internal/fm"
 	"fastlsa/internal/kernel"
+	"fastlsa/internal/memory"
 	"fastlsa/internal/obs"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
@@ -54,7 +55,7 @@ func checkFeasible(opt resolved, base int64, t rect, lanes int64) error {
 	for !t.direct(opt.baseCells) {
 		k := min(opt.k, t.rows(), t.cols())
 		grids += gridEntries(t, k, lanes)
-		t = rect{r0: splitBoundaries(t.r0, t.r1, k)[k-1], c0: splitBoundaries(t.c0, t.c1, k)[k-1], r1: t.r1, c1: t.c1}
+		t = rect{r0: SplitBoundaries(t.r0, t.r1, k)[k-1], c0: SplitBoundaries(t.c0, t.c1, k)[k-1], r1: t.r1, c1: t.c1}
 	}
 	if total := opt.budget.Total(); total > 0 && base+grids > total {
 		return fmt.Errorf("%w: base case buffer of %d entries and first-descent grid caches of %d, budget %d", ErrBudgetTooSmall, base, grids, total)
@@ -103,11 +104,11 @@ func newSolver(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kerne
 	if err := opt.budget.Reserve(charge); err != nil {
 		return nil, fmt.Errorf("core: base case buffer of %d entries: %w", charge, err)
 	}
-	k := kernel.New(m, mod, opt.pool, opt.c)
-	rt := kernel.Rect{H: opt.pool.GetFull(cells)}
+	k := kernel.New(m, mod, memory.Shared, opt.c)
+	rt := kernel.Rect{H: memory.Shared.GetFull(cells)}
 	if mod.IsAffine() {
-		rt.E = opt.pool.GetFull(cells)
-		rt.F = opt.pool.GetFull(cells)
+		rt.E = memory.Shared.GetFull(cells)
+		rt.F = memory.Shared.GetFull(cells)
 	}
 	return &solver{
 		a:          a.Residues,
@@ -126,9 +127,9 @@ func newSolver(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, mod kerne
 
 func (s *solver) close() {
 	s.opt.budget.Release(s.baseCharge)
-	s.opt.pool.Put(s.baseRect.H)
-	s.opt.pool.Put(s.baseRect.E)
-	s.opt.pool.Put(s.baseRect.F)
+	memory.Shared.Put(s.baseRect.H)
+	memory.Shared.Put(s.baseRect.E)
+	memory.Shared.Put(s.baseRect.F)
 	s.baseRect = kernel.Rect{}
 }
 

@@ -55,10 +55,11 @@ type gridCache struct {
 	budget  *memory.Budget
 }
 
-// splitBoundaries divides [lo..hi] into k near-equal segments, returning the
+// SplitBoundaries divides [lo..hi] into k near-equal segments, returning the
 // k+1 boundary node indices. Requires hi-lo >= k so every segment is
-// non-empty.
-func splitBoundaries(lo, hi, k int) []int {
+// non-empty. It cuts the grid's blocks and the wavefront tiles, and E7's
+// schedule model replays the same tiling through it.
+func SplitBoundaries(lo, hi, k int) []int {
 	span := hi - lo
 	bs := make([]int, k+1)
 	for i := 0; i <= k; i++ {
@@ -83,8 +84,8 @@ func newGrid(t rect, k int, top, left kernel.Edge, affine bool, budget *memory.B
 	g := &gridCache{
 		t:      t,
 		k:      k,
-		rs:     splitBoundaries(t.r0, t.r1, k),
-		cs:     splitBoundaries(t.c0, t.c1, k),
+		rs:     SplitBoundaries(t.r0, t.r1, k),
+		cs:     SplitBoundaries(t.c0, t.c1, k),
 		budget: budget,
 	}
 	lanes := int64(1)

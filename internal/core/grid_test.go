@@ -9,20 +9,20 @@ import (
 )
 
 func TestSplitBoundaries(t *testing.T) {
-	bs := splitBoundaries(0, 10, 4)
+	bs := SplitBoundaries(0, 10, 4)
 	want := []int{0, 2, 5, 7, 10}
 	for i := range want {
 		if bs[i] != want[i] {
-			t.Fatalf("splitBoundaries(0,10,4) = %v", bs)
+			t.Fatalf("SplitBoundaries(0,10,4) = %v", bs)
 		}
 	}
 	// Offset ranges.
-	bs = splitBoundaries(100, 108, 2)
+	bs = SplitBoundaries(100, 108, 2)
 	if bs[0] != 100 || bs[1] != 104 || bs[2] != 108 {
 		t.Fatalf("offset split = %v", bs)
 	}
 	// Exactly k cells: unit segments.
-	bs = splitBoundaries(5, 9, 4)
+	bs = SplitBoundaries(5, 9, 4)
 	for i := 0; i <= 4; i++ {
 		if bs[i] != 5+i {
 			t.Fatalf("unit split = %v", bs)
@@ -36,7 +36,7 @@ func TestSplitBoundariesQuick(t *testing.T) {
 	f := func(span16, k8 uint8) bool {
 		k := int(k8%16) + 2
 		span := int(span16) + k // span >= k
-		bs := splitBoundaries(0, span, k)
+		bs := SplitBoundaries(0, span, k)
 		if len(bs) != k+1 || bs[0] != 0 || bs[k] != span {
 			return false
 		}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fastlsa/internal/fm"
 	"fastlsa/internal/kernel"
+	"fastlsa/internal/memory"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
 )
@@ -38,7 +40,7 @@ func AlignLocalFrom(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt 
 	if err != nil {
 		return fm.LocalResult{}, err
 	}
-	k := kernel.New(m, kernel.FromGap(gap), r.pool, r.c)
+	k := kernel.New(m, kernel.FromGap(gap), memory.Shared, r.c)
 	if best < 0 {
 		if best, endR, endC, err = k.LocalScore(a.Residues, b.Residues); err != nil {
 			return fm.LocalResult{}, err
@@ -51,8 +53,9 @@ func AlignLocalFrom(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt 
 	// Reverse scan over the prefixes ending at the end cell. The best cell of
 	// the reversed problem is the start of the local alignment; it must reach
 	// the same score (gap costs are reversal-invariant under both models).
-	ra := reverseBytes(a.Residues[:endR])
-	rb := reverseBytes(b.Residues[:endC])
+	ra, rb := slices.Clone(a.Residues[:endR]), slices.Clone(b.Residues[:endC])
+	slices.Reverse(ra)
+	slices.Reverse(rb)
 	rbest, rR, rC, err := k.LocalScore(ra, rb)
 	if err != nil {
 		return fm.LocalResult{}, err
@@ -77,12 +80,4 @@ func AlignLocalFrom(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt 
 		StartA: startR, EndA: endR,
 		StartB: startC, EndB: endC,
 	}, nil
-}
-
-func reverseBytes(s []byte) []byte {
-	r := make([]byte, len(s))
-	for i, ch := range s {
-		r[len(s)-1-i] = ch
-	}
-	return r
 }

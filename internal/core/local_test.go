@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fastlsa/internal/core"
-	"fastlsa/internal/fm"
 	"fastlsa/internal/scoring"
 	"fastlsa/internal/seq"
 )
@@ -37,22 +36,5 @@ func TestAlignLocalNoPositive(t *testing.T) {
 	}
 	if res.Score != 0 || res.Path.Len() != 0 {
 		t.Fatalf("expected empty result, got %+v", res)
-	}
-}
-
-func TestFMAlignParallelEdges(t *testing.T) {
-	gap := scoring.Linear(-2)
-	m := scoring.DNAStrict
-	empty := seq.MustNew("e", "", seq.DNA)
-	b := seq.MustNew("b", "ACG", seq.DNA)
-	res, err := fm.AlignParallel(empty, b, m, gap, 4, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Path.String() != "LLL" {
-		t.Fatalf("path %q", res.Path)
-	}
-	if _, err := fm.AlignParallel(b, b, m, scoring.Affine(-5, -1), 4, nil, nil); err == nil {
-		t.Fatal("affine must be rejected by the parallel FM")
 	}
 }

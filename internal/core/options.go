@@ -73,10 +73,6 @@ type Options struct {
 	// ParallelFillCells is the minimum subproblem area for a parallel fill
 	// (0 selects DefaultParallelFillCells).
 	ParallelFillCells int
-	// Pool supplies the recycled rows every fill draws its scratch vectors,
-	// boundary edges and base-case planes from (nil selects a process-wide
-	// shared pool). Pass a dedicated pool to isolate a run's allocations.
-	Pool *memory.RowPool
 	// Counters, when non-nil, accumulates instrumentation.
 	Counters *stats.Counters
 	// Obs is the run's instrumentation handle. Its Trace records spans for
@@ -93,10 +89,6 @@ type Options struct {
 	Checkpoint CheckpointSink
 }
 
-// sharedPool is the process-wide default row pool used when Options.Pool is
-// nil, so repeated runs recycle scratch rows across calls.
-var sharedPool = memory.NewRowPool()
-
 // resolved is the validated, defaulted form of Options. k stays 0 when
 // Options.K is unset: newSolver resolves it (resolveK) once the problem and
 // the budget left after the Base Case buffer are known.
@@ -106,7 +98,6 @@ type resolved struct {
 	budget     *memory.Budget
 	workers    int
 	parMinArea int
-	pool       *memory.RowPool
 	c          *stats.Counters
 	obs        obs.Run
 	ckpt       CheckpointSink
@@ -119,13 +110,9 @@ func (o Options) resolve() (resolved, error) {
 		budget:     o.Budget,
 		workers:    o.Workers,
 		parMinArea: o.ParallelFillCells,
-		pool:       o.Pool,
 		c:          o.Counters,
 		obs:        o.Obs,
 		ckpt:       o.Checkpoint,
-	}
-	if r.pool == nil {
-		r.pool = sharedPool
 	}
 	if r.k != 0 && r.k < 2 {
 		return resolved{}, fmt.Errorf("core: Options.K = %d, want >= 2 (paper §3)", o.K)

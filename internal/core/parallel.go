@@ -37,8 +37,8 @@ func (s *solver) fillRectParallel(ra, rb []byte, top, left kernel.Edge, rt kerne
 	rows, cols := len(ra), len(rb)
 	R := max(1, min(2*s.opt.workers, rows))
 	C := max(1, min(2*s.opt.workers, cols))
-	trs := splitBoundaries(0, rows, R)
-	tcs := splitBoundaries(0, cols, C)
+	trs := SplitBoundaries(0, rows, R)
+	tcs := SplitBoundaries(0, cols, C)
 
 	if err := s.k.SeedRect(ra, rb, top, left, rt); err != nil {
 		return err
@@ -66,7 +66,7 @@ func (s *solver) runWavefront(R, C int, skip func(ti, tj int) bool, fill func(ti
 		Cols:    C,
 		Workers: s.opt.workers,
 		Skip:    skip,
-		ExecW: func(w, ti, tj int) error {
+		Exec: func(w, ti, tj int) error {
 			if err := siteFillTile.Hit(); err != nil {
 				return err
 			}

@@ -2,10 +2,11 @@
 // algorithms of the paper's §2.1: Needleman-Wunsch global alignment with the
 // two phases FindScore (fill the complete DPM) and FindPath (trace the
 // optimal path backwards through the stored matrix), plus the Smith-Waterman
-// local variant and a wavefront-parallel matrix fill. FM algorithms minimise
-// operations (every cell exactly once) at the price of O(m*n) space; they are
-// both the baseline FastLSA is compared against and the solver FastLSA uses
-// for its base case.
+// local variant. FM algorithms minimise operations (every cell exactly once)
+// at the price of O(m*n) space; they are both the baseline FastLSA is
+// compared against and the solver FastLSA uses for its base case. The
+// parallel FM is therefore FastLSA's parallel Base Case over the whole
+// matrix (internal/core, served by the fm backend).
 //
 // Both gap models run through the shared internal/kernel layer: linear gaps
 // store one H plane, affine (Gotoh) gaps the three (H, E, F) planes.
@@ -18,11 +19,6 @@ import (
 	"fastlsa/internal/seq"
 	"fastlsa/internal/stats"
 )
-
-// pool recycles boundary edges and scratch rows across fm calls (the stored
-// planes themselves are allocated per call — they are budget-charged and
-// usually too large to be worth pooling).
-var pool = memory.NewRowPool()
 
 // Result is a scored global alignment path.
 type Result struct {

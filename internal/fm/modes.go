@@ -33,7 +33,7 @@ func AlignMode(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, md align.
 	}
 	defer budget.Release(planes * entries)
 
-	k := kernel.New(m, mod, pool, c)
+	k := kernel.New(m, mod, memory.Shared, c)
 	rt := k.MakeRect(rows * cols)
 	top := k.ModeEdge(len(rb), md.FreeStartB)
 	left := k.ModeEdge(len(ra), md.FreeStartA)

@@ -45,7 +45,7 @@ func AlignLocal(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, budget *
 	}
 	defer budget.Release(planes * entries)
 
-	k := kernel.New(m, mod, pool, c)
+	k := kernel.New(m, mod, memory.Shared, c)
 	rt := k.MakeRect(rows * cols)
 	best, bestR, bestC, err := k.FillLocal(ra, rb, rt)
 	if err != nil {

@@ -36,10 +36,6 @@ import (
 // amortise recursion overhead.
 const DefaultBaseCells = 4096
 
-// pool recycles split vectors, boundary edges and kernel scratch rows across
-// calls.
-var pool = memory.NewRowPool()
-
 // Options tunes the algorithm.
 type Options struct {
 	// BaseCells is the (m+1)*(n+1) area threshold below which a subproblem
@@ -71,7 +67,7 @@ func Align(a, b *seq.Sequence, m *scoring.Matrix, gap scoring.Gap, opt Options, 
 		return fm.Result{}, fmt.Errorf("hirschberg: rows and base case of %d entries: %w", charge, err)
 	}
 	defer budget.Release(charge)
-	h := &solver{k: kernel.New(m, mod, pool, c), base: base}
+	h := &solver{k: kernel.New(m, mod, memory.Shared, c), base: base}
 	h.moves = make([]align.Move, 0, a.Len()+b.Len())
 	err := h.solve(a.Residues, b.Residues, mod.Open, mod.Open)
 	h.putBase()
@@ -315,17 +311,17 @@ func (h *solver) growBase(entries int) {
 		return
 	}
 	h.putBase()
-	h.baseRect.H = pool.GetFull(entries)
+	h.baseRect.H = memory.Shared.GetFull(entries)
 	if h.k.Mod.IsAffine() {
-		h.baseRect.E = pool.GetFull(entries)
-		h.baseRect.F = pool.GetFull(entries)
+		h.baseRect.E = memory.Shared.GetFull(entries)
+		h.baseRect.F = memory.Shared.GetFull(entries)
 	}
 }
 
-// putBase returns the base-case planes to the pool.
+// putBase returns the base-case planes to the memory.Shared.
 func (h *solver) putBase() {
-	pool.Put(h.baseRect.H)
-	pool.Put(h.baseRect.E)
-	pool.Put(h.baseRect.F)
+	memory.Shared.Put(h.baseRect.H)
+	memory.Shared.Put(h.baseRect.E)
+	memory.Shared.Put(h.baseRect.F)
 	h.baseRect = kernel.Rect{}
 }

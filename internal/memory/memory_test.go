@@ -135,3 +135,28 @@ func TestRowPool(t *testing.T) {
 }
 
 func got7() []int64 { return make([]int64, 7) }
+
+// TestRowPoolSteadyStateAllocs: a Get/Put cycle over mixed sizes (a
+// FastLSA Base Case buffer and two edge rows) finds every row in the pool
+// once warm, so no pooled row is dropped and re-allocated.
+func TestRowPoolSteadyStateAllocs(t *testing.T) {
+	p := memory.NewRowPool()
+	cycle := func() {
+		base, r1, r2 := p.GetFull(64*1024), p.GetFull(1601), p.GetFull(1601)
+		p.Put(r2)
+		p.Put(r1)
+		p.Put(base)
+	}
+	// Above the pooled cap a row is neither rounded up nor kept.
+	const big = 1<<21 + 3
+	if s := p.Get(big); cap(s) != big {
+		t.Fatalf("Get(%d) cap = %d, want exactly %d", big, cap(s), big)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("steady-state Get/Put cycle allocates %.1f per run, want 0", allocs)
+	}
+}

@@ -40,9 +40,6 @@ import (
 	"fastlsa/internal/stats"
 )
 
-// rowPool recycles the verify scan's rolling rows across queries.
-var rowPool = memory.NewRowPool()
-
 // Hit is one database match.
 type Hit struct {
 	// Index is the database position; ID the sequence identifier.
@@ -260,7 +257,7 @@ func Query(query *seq.Sequence, db []*seq.Sequence, opt Options) ([]Hit, error) 
 	}
 	results := make([]verified, len(cands))
 	floor := &topKFloor{k: topK, onHit: opt.OnHit}
-	k := kernel.New(opt.Matrix, kernel.FromGap(gap), rowPool, opt.Counters)
+	k := kernel.New(opt.Matrix, kernel.FromGap(gap), memory.Shared, opt.Counters)
 	var (
 		next     atomic.Int64
 		abandon  atomic.Bool // indexed scans: bound fell below the floor

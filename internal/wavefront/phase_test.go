@@ -33,13 +33,13 @@ func TestPhaseOfDiagonal(t *testing.T) {
 	}
 }
 
-func TestExecWReceivesWorkerLanes(t *testing.T) {
+func TestExecReceivesWorkerLanes(t *testing.T) {
 	const workers = 4
 	var mu sync.Mutex
 	lanes := map[int]int{}
 	g := &Grid{
 		Rows: 16, Cols: 16, Workers: workers,
-		ExecW: func(w, r, c int) error {
+		Exec: func(w, r, c int) error {
 			mu.Lock()
 			lanes[w]++
 			mu.Unlock()

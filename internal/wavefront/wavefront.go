@@ -56,15 +56,13 @@ type Grid struct {
 	// tiles are treated as instantly complete for dependency purposes
 	// (FastLSA skips the tiles of the bottom-right block during Fill Cache).
 	Skip func(r, c int) bool
-	// Exec runs one tile. It is called at most once per non-skipped tile,
-	// possibly concurrently with other tiles on the same wavefront line.
-	// The first error cancels the run: no new tiles start, and Run returns
-	// that error after in-flight tiles finish.
-	Exec func(r, c int) error
-	// ExecW, when non-nil, is used instead of Exec and additionally receives
-	// the 0-based worker lane executing the tile — the hook run tracing uses
-	// to attribute tiles to workers without per-tile goroutine lookups.
-	ExecW func(worker, r, c int) error
+	// Exec runs tile (r, c) on the 0-based worker lane worker (run tracing
+	// attributes tiles to workers by it, without per-tile goroutine
+	// lookups). It is called at most once per non-skipped tile, possibly
+	// concurrently with other tiles on the same wavefront line. The first
+	// error cancels the run: no new tiles start, and Run returns that error
+	// after in-flight tiles finish.
+	Exec func(worker, r, c int) error
 }
 
 // Run executes the grid and returns the first tile error, if any.
@@ -72,7 +70,7 @@ func (g *Grid) Run() error {
 	if g.Rows < 1 || g.Cols < 1 {
 		return fmt.Errorf("wavefront: grid %dx%d must be at least 1x1", g.Rows, g.Cols)
 	}
-	if g.Exec == nil && g.ExecW == nil {
+	if g.Exec == nil {
 		return fmt.Errorf("wavefront: nil Exec")
 	}
 	workers := g.Workers
@@ -119,10 +117,7 @@ func (g *Grid) Run() error {
 				err = &PanicError{R: r, C: c, Value: v, Stack: debug.Stack()}
 			}
 		}()
-		if g.ExecW != nil {
-			return g.ExecW(lane, r, c)
-		}
-		return g.Exec(r, c)
+		return g.Exec(lane, r, c)
 	}
 
 	complete := func(idx int) {

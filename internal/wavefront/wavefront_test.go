@@ -21,7 +21,7 @@ func TestRunRespectsDependencies(t *testing.T) {
 		Rows:    rows,
 		Cols:    cols,
 		Workers: 4,
-		Exec: func(r, c int) error {
+		Exec: func(_, r, c int) error {
 			mu.Lock()
 			order[[2]int{r, c}] = step
 			step++
@@ -53,7 +53,7 @@ func TestRunSkip(t *testing.T) {
 	g := &wavefront.Grid{
 		Rows: 4, Cols: 4, Workers: 3,
 		Skip: skip,
-		Exec: func(r, c int) error {
+		Exec: func(_, r, c int) error {
 			if skip(r, c) {
 				t.Errorf("skipped tile (%d,%d) executed", r, c)
 			}
@@ -74,7 +74,7 @@ func TestRunErrorPropagation(t *testing.T) {
 	var after atomic.Int64
 	g := &wavefront.Grid{
 		Rows: 20, Cols: 20, Workers: 4,
-		Exec: func(r, c int) error {
+		Exec: func(_, r, c int) error {
 			if r == 1 && c == 1 {
 				return boom
 			}
@@ -93,7 +93,7 @@ func TestRunErrorPropagation(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := (&wavefront.Grid{Rows: 0, Cols: 3, Exec: func(int, int) error { return nil }}).Run(); err == nil {
+	if err := (&wavefront.Grid{Rows: 0, Cols: 3, Exec: func(int, int, int) error { return nil }}).Run(); err == nil {
 		t.Fatal("0 rows must fail")
 	}
 	if err := (&wavefront.Grid{Rows: 3, Cols: 3}).Run(); err == nil {
@@ -103,7 +103,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunSingleTile(t *testing.T) {
 	ran := false
-	g := &wavefront.Grid{Rows: 1, Cols: 1, Workers: 8, Exec: func(r, c int) error {
+	g := &wavefront.Grid{Rows: 1, Cols: 1, Workers: 8, Exec: func(_, r, c int) error {
 		ran = true
 		return nil
 	}}
@@ -172,7 +172,7 @@ func TestClassifyPhasesQuick(t *testing.T) {
 // TestRunManyWorkers exercises worker counts exceeding the tile count.
 func TestRunManyWorkers(t *testing.T) {
 	var n atomic.Int64
-	g := &wavefront.Grid{Rows: 2, Cols: 2, Workers: 64, Exec: func(r, c int) error {
+	g := &wavefront.Grid{Rows: 2, Cols: 2, Workers: 64, Exec: func(_, r, c int) error {
 		n.Add(1)
 		return nil
 	}}
@@ -189,7 +189,7 @@ func TestRunManyWorkers(t *testing.T) {
 // scheduler — and the remaining tiles must be cancelled, not executed.
 func TestRunTilePanicIsolated(t *testing.T) {
 	var executed atomic.Int64
-	g := &wavefront.Grid{Rows: 8, Cols: 8, Workers: 4, Exec: func(r, c int) error {
+	g := &wavefront.Grid{Rows: 8, Cols: 8, Workers: 4, Exec: func(_, r, c int) error {
 		if r == 2 && c == 2 {
 			panic("injected tile failure")
 		}
@@ -223,7 +223,7 @@ func TestRunTilePanicIsolated(t *testing.T) {
 	// The scheduler is per-run state: a fresh run on the same shape must be
 	// unaffected by the previous panic.
 	var n atomic.Int64
-	g2 := &wavefront.Grid{Rows: 8, Cols: 8, Workers: 4, Exec: func(r, c int) error {
+	g2 := &wavefront.Grid{Rows: 8, Cols: 8, Workers: 4, Exec: func(_, r, c int) error {
 		n.Add(1)
 		return nil
 	}}

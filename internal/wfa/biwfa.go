@@ -36,6 +36,7 @@ package wfa
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"fastlsa/internal/align"
@@ -587,7 +588,10 @@ func BiAlign(a, b *seq.Sequence, mat *scoring.Matrix, gap scoring.Gap, opt Optio
 		pen: pen, mat: mat, gap: gap, alphabet: a.Alphabet, opt: opt,
 		moves: make([]align.Move, 0, m+n),
 	}
-	if err := r.solve(ra, reversed(ra), rb, reversed(rb), S); err != nil {
+	revA, revB := slices.Clone(ra), slices.Clone(rb)
+	slices.Reverse(revA)
+	slices.Reverse(revB)
+	if err := r.solve(ra, revA, rb, revB, S); err != nil {
 		return fm.Result{}, err
 	}
 	score, err := pen.Score(m, n, int64(S))
@@ -595,12 +599,4 @@ func BiAlign(a, b *seq.Sequence, mat *scoring.Matrix, gap scoring.Gap, opt Optio
 		return fm.Result{}, err
 	}
 	return fm.Result{Score: score, Path: align.NewPath(r.moves)}, nil
-}
-
-func reversed(s []byte) []byte {
-	r := make([]byte, len(s))
-	for i, c := range s {
-		r[len(s)-1-i] = c
-	}
-	return r
 }
